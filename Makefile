@@ -34,7 +34,7 @@ BENCH_TOLERANCE ?= 0.25
 BENCH_TIME_TOLERANCE ?= 0
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
+.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench-test bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
 
 all: build
 
@@ -73,6 +73,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# bench-test vets and tests the benchmark harness (bench/, its own Go
+# module, ~18 s), which the root `go test ./...` never builds: an API change
+# in uq, rare or any other package etbench calls must fail here, not first
+# when the benchmark runs. CI's verify job runs it.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench regenerates the paper's tables and figures (expensive).
 bench:

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
+
+	"etherm/internal/pool"
 )
 
 // ISConfig parameterizes mean-shift importance sampling: draws come from
@@ -59,73 +60,47 @@ func RunImportance(ctx context.Context, lsf LimitStateFactory, cfg ISConfig) (*I
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("rare: importance sampling needs N ≥ 2, got %d", cfg.N)
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	shift2 := 0.0
 	for _, s := range cfg.Shift {
 		shift2 += s * s
 	}
 
-	// Weighted indicator per sample, folded in index order afterwards.
-	vals := make([]float64, cfg.N)
-	idxCh := make(chan int)
-	abort := newWorkerAbort()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ls, err := lsf()
-			if err != nil {
-				abort.fail(err)
-				return
-			}
-			z := make([]float64, dim)
-			for i := range idxCh {
-				rng := rand.New(rand.NewPCG(cfg.Seed, chainKey(cfg.Seed, -1, i)))
-				dot := 0.0
-				for j := range z {
-					z[j] = cfg.Shift[j] + norm01(rng)
-					dot += z[j] * cfg.Shift[j]
-				}
-				g, err := ls(z)
-				if err != nil {
-					abort.fail(fmt.Errorf("rare: limit state at sample %d: %w", i, err))
-					return
-				}
-				if g >= cfg.Threshold {
-					vals[i] = math.Exp(-dot + shift2/2)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < cfg.N; i++ {
-		select {
-		case idxCh <- i:
-		case <-abort.ch:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if abort.err != nil {
-		return nil, abort.err
-	}
-	if err := ctx.Err(); err != nil {
+	lss, err := limitStates(lsf, cfg.Workers, cfg.N)
+	if err != nil {
 		return nil, err
 	}
 
+	// Each sample's weighted failure indicator, folded in index order.
 	mean, m2, sumW, sumW2 := 0.0, 0.0, 0.0, 0.0
-	for i, v := range vals {
-		d := v - mean
-		mean += d / float64(i+1)
-		m2 += d * (v - mean)
-		sumW += v
-		sumW2 += v * v
+	err = pool.Run(ctx, lss, 0, cfg.N,
+		func(ls LimitState, i int, v *float64) error {
+			rng := rand.New(rand.NewPCG(cfg.Seed, chainKey(cfg.Seed, -1, i)))
+			z := make([]float64, dim)
+			dot := 0.0
+			for j := range z {
+				z[j] = cfg.Shift[j] + norm01(rng)
+				dot += z[j] * cfg.Shift[j]
+			}
+			g, err := ls(z)
+			if err != nil {
+				return fmt.Errorf("rare: limit state at sample %d: %w", i, err)
+			}
+			*v = 0
+			if g >= cfg.Threshold {
+				*v = math.Exp(-dot + shift2/2)
+			}
+			return nil
+		},
+		func(i int, v *float64) bool {
+			d := *v - mean
+			mean += d / float64(i+1)
+			m2 += d * (*v - mean)
+			sumW += *v
+			sumW2 += *v * *v
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
 	n := float64(cfg.N)
 	res := &ISResult{PF: mean, SE: math.Sqrt(m2 / (n - 1) / n), N: cfg.N}

@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 
+	"etherm/internal/pool"
 	"etherm/internal/stats"
 	"etherm/internal/uq"
 )
@@ -135,9 +135,6 @@ func (c *SubsetConfig) normalize() error {
 	if c.Step < 0 {
 		return fmt.Errorf("rare: negative MCMC step %g", c.Step)
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
@@ -225,18 +222,31 @@ func RunSubset(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig) (*S
 	res := &SubsetResult{}
 	nSeeds := int(math.Round(cfg.P0 * float64(cfg.N)))
 	chainLen := cfg.N / nSeeds
-
-	// Level 0: N iid standard-normal points, one per-index PCG stream.
-	cur := make([]subsetState, cfg.N)
-	for i := range cur {
-		rng := rand.New(rand.NewPCG(cfg.Seed, chainKey(cfg.Seed, 0, i)))
-		z := make([]float64, cfg.Dim)
-		for j := range z {
-			z[j] = norm01(rng)
-		}
-		cur[i] = subsetState{z: z}
+	lss, err := limitStates(lsf, cfg.Workers, cfg.N) // one set for every level
+	if err != nil {
+		return nil, err
 	}
-	if err := evalStates(ctx, lsf, cfg, cur); err != nil {
+
+	// Level 0: N iid standard-normal points, one per-index PCG stream. Each
+	// point is freshly allocated, so the fold keeps it.
+	cur := make([]subsetState, cfg.N)
+	err = pool.Run(ctx, lss, 0, cfg.N,
+		func(ls LimitState, i int, st *subsetState) (err error) {
+			rng := rand.New(rand.NewPCG(cfg.Seed, chainKey(cfg.Seed, 0, i)))
+			st.z = make([]float64, cfg.Dim)
+			for j := range st.z {
+				st.z[j] = norm01(rng)
+			}
+			if st.g, err = ls(st.z); err != nil {
+				return fmt.Errorf("rare: limit state at sample %d: %w", i, err)
+			}
+			return nil
+		},
+		func(i int, st *subsetState) bool {
+			cur[i] = *st
+			return true
+		})
+	if err != nil {
 		return nil, err
 	}
 	res.Evals += cfg.N
@@ -286,7 +296,7 @@ func RunSubset(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig) (*S
 		for k := 0; k < nSeeds; k++ {
 			seeds[k] = cur[order[k]]
 		}
-		next, accepted, proposed, evals, err := runChains(ctx, lsf, cfg, seeds, level+1, chainLen, t)
+		next, accepted, proposed, evals, err := runChains(ctx, lss, cfg, seeds, level+1, chainLen, t)
 		if err != nil {
 			return nil, err
 		}
@@ -360,71 +370,27 @@ func chainGamma(cur []subsetState, t float64, level, chainLen int) float64 {
 
 // runChains advances one modified-Metropolis chain per seed at the given
 // level, each chainLen samples long (the seed is sample 0). Chains are
-// split into cfg.Shards contiguous groups; inside each group, cfg.Workers
-// goroutines pick up whole chains. Results land in a slice indexed by
-// (chain, step), so scheduling cannot affect the estimate.
-func runChains(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig, seeds []subsetState, level, chainLen int, t float64) (out []subsetState, accepted, proposed, evals int, err error) {
+// split into cfg.Shards contiguous groups, each one pool run over whole
+// chains. Samples land in a slice indexed by (chain, step), so scheduling
+// cannot affect the estimate.
+func runChains(ctx context.Context, lss []LimitState, cfg SubsetConfig, seeds []subsetState, level, chainLen int, t float64) (out []subsetState, accepted, proposed, evals int, err error) {
 	nc := len(seeds)
 	out = make([]subsetState, nc*chainLen)
-	type chainStats struct{ accepted, proposed, evals int }
-	perChain := make([]chainStats, nc)
-
-	// Contiguous shard ranges over chains.
-	for shard := 0; shard < cfg.Shards; shard++ {
-		lo := shard * nc / cfg.Shards
-		hi := (shard + 1) * nc / cfg.Shards
-		if lo == hi {
-			continue
-		}
-		var wg sync.WaitGroup
-		chainCh := make(chan int)
-		abort := newWorkerAbort()
-		workers := cfg.Workers
-		if workers > hi-lo {
-			workers = hi - lo
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ls, lerr := lsf()
-				if lerr != nil {
-					abort.fail(lerr)
-					return
-				}
-				for c := range chainCh {
-					st, cerr := runOneChain(ctx, ls, cfg, seeds[c], level, c, chainLen, t, out[c*chainLen:(c+1)*chainLen])
-					if cerr != nil {
-						abort.fail(cerr)
-						return
-					}
-					perChain[c] = chainStats{st.accepted, st.proposed, st.evals}
-				}
-			}()
-		}
-	feed:
-		for c := lo; c < hi; c++ {
-			select {
-			case chainCh <- c:
-			case <-abort.ch:
-				break feed
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(chainCh)
-		wg.Wait()
-		if abort.err != nil {
-			return nil, 0, 0, 0, abort.err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, 0, 0, 0, cerr
-		}
+	eval := func(ls LimitState, c int, st *oneChainStats) (err error) {
+		*st, err = runOneChain(ctx, ls, cfg, seeds[c], level, c, chainLen, t, out[c*chainLen:(c+1)*chainLen])
+		return err
 	}
-	for _, st := range perChain {
+	fold := func(_ int, st *oneChainStats) bool {
 		accepted += st.accepted
 		proposed += st.proposed
 		evals += st.evals
+		return true
+	}
+	for shard := 0; shard < cfg.Shards; shard++ {
+		lo, hi := shard*nc/cfg.Shards, (shard+1)*nc/cfg.Shards
+		if err := pool.Run(ctx, lss, lo, hi, eval, fold); err != nil {
+			return nil, 0, 0, 0, err
+		}
 	}
 	return out, accepted, proposed, evals, nil
 }
@@ -476,67 +442,13 @@ func runOneChain(ctx context.Context, ls LimitState, cfg SubsetConfig, seed subs
 	return st, nil
 }
 
-// workerAbort lets the first erroring worker of a pool unblock the feeder:
-// the worker records its error and closes the abort channel before exiting,
-// so the feeder's select never blocks forever on the unbuffered work channel.
-type workerAbort struct {
-	ch   chan struct{}
-	once sync.Once
-	err  error
-}
-
-func newWorkerAbort() *workerAbort {
-	return &workerAbort{ch: make(chan struct{})}
-}
-
-// fail records the first error and signals the feeder. Safe to call from
-// any number of workers; only the first error is kept.
-func (a *workerAbort) fail(err error) {
-	a.once.Do(func() {
-		a.err = err
-		close(a.ch)
-	})
-}
-
-// evalStates evaluates g for every state in parallel, writing results by
-// index.
-func evalStates(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig, states []subsetState) error {
-	idxCh := make(chan int)
-	abort := newWorkerAbort()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ls, err := lsf()
-			if err != nil {
-				abort.fail(err)
-				return
-			}
-			for i := range idxCh {
-				g, err := ls(states[i].z)
-				if err != nil {
-					abort.fail(fmt.Errorf("rare: limit state at sample %d: %w", i, err))
-					return
-				}
-				states[i].g = g
-			}
-		}()
+// limitStates builds one limit state per worker (at least one, at most n)
+// through pool.Build, before any evaluation: a factory cloning a shared
+// simulator must not race with worker 0 mutating it.
+func limitStates(lsf LimitStateFactory, workers, n int) ([]LimitState, error) {
+	lss, err := pool.Build(max(1, min(workers, n)), func(int) (LimitState, error) { return lsf() })
+	if err != nil {
+		return nil, fmt.Errorf("rare: limit-state factory: %w", err)
 	}
-feed:
-	for i := range states {
-		select {
-		case idxCh <- i:
-		case <-abort.ch:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if abort.err != nil {
-		return abort.err
-	}
-	return ctx.Err()
+	return lss, nil
 }

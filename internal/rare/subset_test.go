@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"etherm/internal/panicsafe"
 	"etherm/internal/stats"
 	"etherm/internal/uq"
 )
@@ -347,11 +348,27 @@ func (finUQModel) Eval(p, out []float64) error {
 	return nil
 }
 
+// panicModel is a stateless model that panics for p[0] > 0.5, as a solver
+// bug or an injected chaos fault would.
+type panicModel struct{}
+
+func (panicModel) Dim() int        { return 2 }
+func (panicModel) NumOutputs() int { return 1 }
+func (panicModel) Eval(p, out []float64) error {
+	if p[0] > 0.5 {
+		panic("limit state blew up")
+	}
+	out[0] = p[0] + p[1]
+	return nil
+}
+
 // TestWorkerErrorDoesNotDeadlock pins the fix for a feeder deadlock: a
 // worker that hits an eval or factory error used to exit without draining
 // the unbuffered work channel, hanging RunSubset/RunImportance forever
 // with Workers=1 (or whenever all workers errored). Each case must return
-// the error promptly instead of wedging the calling goroutine.
+// the error promptly instead of wedging the calling goroutine. A panicking
+// limit state, which used to kill the process from a worker goroutine,
+// must come back as an error carrying the recovered panic.
 func TestWorkerErrorDoesNotDeadlock(t *testing.T) {
 	erroringEval := func() (LimitState, error) {
 		return func(z []float64) (float64, error) {
@@ -361,44 +378,62 @@ func TestWorkerErrorDoesNotDeadlock(t *testing.T) {
 	erroringFactory := func() (LimitState, error) {
 		return nil, errors.New("factory boom")
 	}
-	// Errors only once chains start (level ≥ 1), exercising runChains. The
+	// Fails only once chains start (level ≥ 1), exercising runChains. The
 	// counter is shared across factory instances so level 0's 2000 iid
-	// evaluations pass and a later chain evaluation trips the error.
-	var lateCount atomic.Int64
-	lateEval := func() (LimitState, error) {
-		return func(z []float64) (float64, error) {
-			if lateCount.Add(1) > 2100 {
-				return 0, errors.New("late boom")
-			}
-			s := 0.0
-			for _, v := range z {
-				s += v
-			}
-			return s, nil
-		}, nil
+	// evaluations pass and a later chain evaluation trips.
+	late := func(fail func() (float64, error)) LimitStateFactory {
+		var count atomic.Int64
+		return func() (LimitState, error) {
+			return func(z []float64) (float64, error) {
+				if count.Add(1) > 2100 {
+					return fail()
+				}
+				s := 0.0
+				for _, v := range z {
+					s += v
+				}
+				return s, nil
+			}, nil
+		}
 	}
+	lateError := func() (float64, error) { return 0, errors.New("late boom") }
+	latePanic := func() (float64, error) { panic("late limit state blew up") }
+	panicking := MaxOutputFactory(uq.SingleFactory(panicModel{}), []uq.Dist{uq.Normal{Mu: 0, Sigma: 1}, uq.Normal{Mu: 0, Sigma: 1}})
 	cases := []struct {
-		name string
-		run  func() error
+		name   string
+		panics bool
+		run    func() error
 	}{
-		{"subset eval error", func() error {
+		{"subset eval error", false, func() error {
 			_, err := RunSubset(context.Background(), erroringEval, SubsetConfig{Threshold: 10, Dim: 2, N: 2000, Seed: 1, Workers: 1})
 			return err
 		}},
-		{"subset factory error", func() error {
+		{"subset factory error", false, func() error {
 			_, err := RunSubset(context.Background(), erroringFactory, SubsetConfig{Threshold: 10, Dim: 2, N: 2000, Seed: 1, Workers: 2})
 			return err
 		}},
-		{"subset chain-level error", func() error {
-			_, err := RunSubset(context.Background(), lateEval, SubsetConfig{Threshold: 100, Dim: 2, N: 2000, Seed: 1, Workers: 1})
+		{"subset chain-level error", false, func() error {
+			_, err := RunSubset(context.Background(), late(lateError), SubsetConfig{Threshold: 100, Dim: 2, N: 2000, Seed: 1, Workers: 1})
 			return err
 		}},
-		{"importance eval error", func() error {
+		{"importance eval error", false, func() error {
 			_, err := RunImportance(context.Background(), erroringEval, ISConfig{Threshold: 3, Shift: []float64{1, 1}, N: 1000, Seed: 1, Workers: 1})
 			return err
 		}},
-		{"importance factory error", func() error {
+		{"importance factory error", false, func() error {
 			_, err := RunImportance(context.Background(), erroringFactory, ISConfig{Threshold: 3, Shift: []float64{1, 1}, N: 1000, Seed: 1, Workers: 2})
+			return err
+		}},
+		{"subset level-0 panic", true, func() error {
+			_, err := RunSubset(context.Background(), panicking, SubsetConfig{Threshold: 10, Dim: 2, N: 2000, Seed: 1, Workers: 2})
+			return err
+		}},
+		{"subset chain-level panic", true, func() error {
+			_, err := RunSubset(context.Background(), late(latePanic), SubsetConfig{Threshold: 100, Dim: 2, N: 2000, Seed: 1, Workers: 2})
+			return err
+		}},
+		{"importance panic", true, func() error {
+			_, err := RunImportance(context.Background(), panicking, ISConfig{Threshold: 3, Shift: []float64{1, 1}, N: 1000, Seed: 1, Workers: 2})
 			return err
 		}},
 	}
@@ -411,9 +446,68 @@ func TestWorkerErrorDoesNotDeadlock(t *testing.T) {
 				if err == nil {
 					t.Fatal("expected an error, got nil")
 				}
+				var pe *panicsafe.Error
+				if got := errors.As(err, &pe); got != tc.panics {
+					t.Fatalf("error %v carries a recovered panic: %v, want %v", err, got, tc.panics)
+				}
 			case <-time.After(30 * time.Second):
 				t.Fatal("run deadlocked on worker error")
 			}
 		})
 	}
+}
+
+// TestWorkersBuiltBeforeFirstEvaluation: RunSubset, RunImportance and
+// uq.RunCampaign build all their worker models before the first
+// evaluation. A factory typically clones a shared simulator that worker 0's
+// first evaluation mutates (wire geometry), so a factory call after an
+// evaluation has started is a data race; this factory fails instead.
+func TestWorkersBuiltBeforeFirstEvaluation(t *testing.T) {
+	var started atomic.Bool
+	factory := func() (uq.Model, error) {
+		if started.Load() {
+			return nil, errors.New("factory called after an evaluation started")
+		}
+		return startedModel{&started}, nil
+	}
+	dists := []uq.Dist{uq.Normal{Mu: 0, Sigma: 1}, uq.Normal{Mu: 0, Sigma: 1}}
+	lsf := MaxOutputFactory(factory, dists)
+	runs := map[string]func() error{
+		"subset": func() error {
+			// Threshold 3σ: three levels, so chains run after level 0.
+			res, err := RunSubset(context.Background(), lsf, SubsetConfig{Threshold: 3, Dim: 2, N: 200, Seed: 1, Workers: 2})
+			if err == nil && len(res.Levels) < 2 {
+				t.Errorf("subset run stopped at level 0; chains never ran")
+			}
+			return err
+		},
+		"importance": func() error {
+			_, err := RunImportance(context.Background(), lsf, ISConfig{Threshold: 3, Shift: []float64{2, 2}, N: 200, Seed: 1, Workers: 2})
+			return err
+		},
+		"campaign": func() error {
+			_, err := uq.RunCampaign(context.Background(), factory, dists, uq.PseudoRandom{D: 2, Seed: 1},
+				uq.CampaignOptions{MaxSamples: 200, Workers: 2})
+			return err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			started.Store(false)
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// startedModel sums its inputs and flags that an evaluation has started.
+type startedModel struct{ started *atomic.Bool }
+
+func (startedModel) Dim() int        { return 2 }
+func (startedModel) NumOutputs() int { return 1 }
+func (m startedModel) Eval(p, out []float64) error {
+	m.started.Store(true)
+	out[0] = (p[0] + p[1]) / math.Sqrt2
+	return nil
 }

@@ -3,8 +3,11 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
+
+	"etherm/internal/solver"
 )
 
 // calibrateTCrit runs a small Monte Carlo scenario and returns a critical
@@ -192,6 +195,29 @@ func TestEngineRareImportanceScenario(t *testing.T) {
 	}
 	if len(s.RareLevels) != 0 {
 		t.Error("importance sampling has no levels, but telemetry was recorded")
+	}
+}
+
+// TestEngineRarePanicFailsScenario: a solver panic inside a rare-event
+// evaluation happens on a pool worker goroutine, out of reach of the
+// scenario's own recover. It must end as a failed scenario carrying the
+// recovered panic, not take the process down.
+func TestEngineRarePanicFailsScenario(t *testing.T) {
+	solver.SetFaultHook(func() solver.Fault { return solver.FaultPanic })
+	defer solver.SetFaultHook(nil)
+	subset := rareScenario(400)
+	importance := rareScenario(400)
+	importance.Name, importance.UQ.Estimator, importance.UQ.ISShift = "rare-is", EstimatorImportance, -2
+	e := NewEngine()
+	e.SampleWorkers = 2
+	res, err := e.Run(context.Background(), &Batch{Scenarios: []Scenario{subset, importance}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Scenarios {
+		if s.OK || !strings.Contains(s.Error, "panic in pool") || !strings.Contains(s.Error, "injected fault") {
+			t.Errorf("scenario %s: ok=%v error %.120q, want a failed scenario carrying the recovered solver panic", s.Name, s.OK, s.Error)
+		}
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
+	"slices"
 
+	"etherm/internal/pool"
 	"etherm/internal/stats"
 )
 
@@ -288,11 +289,47 @@ func LoadCheckpointIfExists(path string) (*Checkpoint, error) {
 	return c, err
 }
 
-// sampleMsg carries one evaluated sample from a worker to the fold loop.
-type sampleMsg struct {
-	i           int
+// sample is one evaluated campaign sample on its way to the fold.
+type sample struct {
 	params, out []float64
 	err         error
+}
+
+// sampleWorkers builds the worker models for the given number of remaining
+// samples through pool.Build, the probe as worker 0; workers ≤ 0 means
+// GOMAXPROCS.
+func sampleWorkers(probe Model, factory ModelFactory, workers, remaining int) ([]Model, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return pool.Build(min(workers, remaining), func(k int) (Model, error) {
+		if k == 0 {
+			return probe, nil
+		}
+		m, err := factory()
+		if err != nil {
+			return nil, fmt.Errorf("uq: worker setup: %w", err)
+		}
+		return m, nil
+	})
+}
+
+// evalSample returns the pool evaluation of campaign sample i: sampler
+// point i through dists into the worker's model. A failing or panicking
+// model marks the sample failed instead of stopping the campaign.
+func evalSample(s Sampler, dists []Dist, nOut int, onSample func(int, error)) func(Model, int, *sample) error {
+	return func(m Model, i int, r *sample) error {
+		if r.out == nil {
+			r.params, r.out = make([]float64, len(dists)), make([]float64, nOut)
+		}
+		s.Sample(i, r.params)
+		TransformPoint(dists, r.params, r.params)
+		r.err = safeEval(m, r.params, r.out)
+		if onSample != nil {
+			onSample(i, r.err)
+		}
+		return nil
+	}
 }
 
 // RunCampaign evaluates up to opt.MaxSamples sampler points through models
@@ -395,14 +432,10 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		cpEvery = DefaultCheckpointEvery
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	ws, err := sampleWorkers(probe, factory, opt.Workers, opt.MaxSamples-start)
+	if err != nil {
+		return nil, err
 	}
-	if remaining := opt.MaxSamples - start; workers > remaining {
-		workers = remaining
-	}
-
 	var ens *Ensemble
 	if opt.StoreSamples {
 		ens = &Ensemble{
@@ -414,93 +447,8 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		}
 	}
 
-	// Worker models are created serially up front: factories typically clone
-	// a shared base simulator, and a lazy in-goroutine clone would race with
-	// worker 0 already mutating that base through its first evaluation.
-	models := make([]Model, workers)
-	models[0] = probe
-	for w := 1; w < workers; w++ {
-		m, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("uq: worker setup: %w", err)
-		}
-		models[w] = m
-	}
-
-	// Buffer pools keep the streaming path allocation-bounded: slices cycle
-	// worker → fold → pool. The stored path hands buffers to the Ensemble
-	// instead.
-	var paramPool, outPool *sync.Pool
-	if !opt.StoreSamples {
-		dim := s.Dim()
-		paramPool = &sync.Pool{New: func() any { return make([]float64, dim) }}
-		outPool = &sync.Pool{New: func() any { return make([]float64, nOut) }}
-	}
-	recycle := func(m sampleMsg) {
-		if paramPool != nil {
-			paramPool.Put(m.params)
-			outPool.Put(m.out)
-		}
-	}
-
-	jobs := make(chan int)
-	results := make(chan sampleMsg, workers)
-	stop := make(chan struct{})
-
-	go func() {
-		defer close(jobs)
-		for i := start; i < opt.MaxSamples; i++ {
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := models[w]
-			u := make([]float64, s.Dim())
-			for i := range jobs {
-				var params, out []float64
-				if paramPool != nil {
-					params = paramPool.Get().([]float64)
-					out = outPool.Get().([]float64)
-				} else {
-					params = make([]float64, s.Dim())
-					out = make([]float64, nOut)
-				}
-				s.Sample(i, u)
-				TransformPoint(dists, u, params)
-				err := safeEval(m, params, out)
-				if opt.OnSample != nil {
-					opt.OnSample(i, err)
-				}
-				results <- sampleMsg{i: i, params: params, out: out, err: err}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Ordered fold: samples are folded in strict index order through a
-	// small reorder buffer (bounded by the in-flight worker count), so the
-	// accumulators see exactly the sequence sample 0, 1, 2, … regardless of
-	// completion order.
 	next := start
-	stopAt := opt.MaxSamples
-	stopped := false
-	var firstErr error
-	pending := make(map[int]sampleMsg, workers)
-	var cpErr error
+	var firstErr, cpErr error
 	writeCheckpoint := func() {
 		if opt.CheckpointPath == "" || cpErr != nil {
 			return
@@ -512,59 +460,43 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		}
 		cpErr = cp.Save(opt.CheckpointPath)
 	}
-
-	for msg := range results {
-		if msg.i >= stopAt {
-			recycle(msg)
-			continue
-		}
-		pending[msg.i] = msg
-		for next < stopAt {
-			m, ok := pending[next]
-			if !ok {
-				break
+	// The pool folds samples in strict index order, so the accumulators
+	// see exactly the sequence start, start+1, … for any worker count.
+	fold := func(i int, r *sample) bool {
+		if r.err != nil {
+			res.Failures++
+			if firstErr == nil {
+				firstErr = r.err
 			}
-			delete(pending, next)
-			if m.err != nil {
-				res.Failures++
-				if firstErr == nil {
-					firstErr = m.err
-				}
-				recycle(m)
-			} else {
-				st.Add(m.out)
-				if ens != nil {
-					ens.Params[next] = m.params
-					ens.Outputs[next] = m.out
-				} else {
-					recycle(m)
-				}
-			}
-			next++
-			res.Evaluated = next
-			if opt.CheckpointPath != "" && next%cpEvery == 0 {
-				writeCheckpoint()
-			}
-			if !stopped && next < stopAt && next%batch == 0 {
-				if r := stopReason(st, opt); r != "" {
-					stopAt = next
-					res.StopReason = r
-					stopped = true
-					close(stop)
-				}
-			}
-		}
-	}
-	for _, m := range pending {
-		recycle(m)
-	}
-
-	if res.StopReason == "" {
-		if ctx.Err() != nil && next < opt.MaxSamples {
-			res.StopReason = StopCanceled
 		} else {
-			res.StopReason = StopBudget
+			st.Add(r.out)
+			if ens != nil {
+				ens.Params[i] = slices.Clone(r.params)
+				ens.Outputs[i] = slices.Clone(r.out)
+			}
 		}
+		next = i + 1
+		res.Evaluated = next
+		if opt.CheckpointPath != "" && next%cpEvery == 0 {
+			writeCheckpoint()
+		}
+		if next < opt.MaxSamples && next%batch == 0 {
+			if r := stopReason(st, opt); r != "" {
+				res.StopReason = r
+				return false
+			}
+		}
+		return true
+	}
+	switch err := pool.Run(ctx, ws, start, opt.MaxSamples, evalSample(s, dists, nOut, opt.OnSample), fold); {
+	case err == nil:
+	case err == ctx.Err():
+		res.StopReason = StopCanceled
+	default:
+		return nil, fmt.Errorf("uq: campaign: %w", err)
+	}
+	if res.StopReason == "" {
+		res.StopReason = StopBudget
 	}
 	writeCheckpoint()
 	if cpErr != nil {

@@ -55,11 +55,14 @@ func (s PseudoRandom) Dim() int { return s.D }
 func (s PseudoRandom) Name() string { return "monte-carlo" }
 
 // Sample implements Sampler. Each index gets its own PCG stream keyed by
-// (Seed, index), so results do not depend on evaluation order.
+// (Seed, index), so results do not depend on evaluation order. The stream
+// lives on the stack and each draw is rand.Float64's formula, so a sample
+// allocates nothing.
 func (s PseudoRandom) Sample(i int, dst []float64) {
-	rng := rand.New(rand.NewPCG(s.Seed, 0x9e3779b97f4a7c15^uint64(i)*0xbf58476d1ce4e5b9))
+	var p rand.PCG
+	p.Seed(s.Seed, 0x9e3779b97f4a7c15^uint64(i)*0xbf58476d1ce4e5b9)
 	for j := range dst[:s.D] {
-		dst[j] = rng.Float64()
+		dst[j] = float64(p.Uint64()<<11>>11) / (1 << 53)
 	}
 }
 
@@ -287,7 +290,8 @@ func (s *Sobol) Sample(i int, dst []float64) {
 	}
 }
 
-// TransformPoint maps a unit-cube point through per-dimension distributions.
+// TransformPoint maps a unit-cube point through per-dimension distributions;
+// dst may be u itself.
 func TransformPoint(dists []Dist, u, dst []float64) {
 	for j, d := range dists {
 		// Clamp away from {0,1} so quantiles stay finite.

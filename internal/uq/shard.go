@@ -20,9 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"runtime"
-	"sync"
 
+	"etherm/internal/pool"
 	"etherm/internal/stats"
 )
 
@@ -296,9 +295,8 @@ func RunShard(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler
 	}
 
 	// Validate the accumulator construction once, before any worker starts:
-	// the in-loop constructor below then cannot fail (it sketches no
-	// quantiles), keeping the fold loop free of early returns that would
-	// strand the worker goroutines.
+	// the fold's constructor below then cannot fail (it sketches no
+	// quantiles).
 	if _, err := stats.NewStreamStats(nOut, opt.Threshold, nil); err != nil {
 		return nil, err
 	}
@@ -306,71 +304,12 @@ func RunShard(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler
 	if cpEvery <= 0 {
 		cpEvery = DefaultCheckpointEvery
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if remaining := end - next; workers > remaining {
-		workers = remaining
+	ws, err := sampleWorkers(probe, factory, opt.Workers, end-next)
+	if err != nil {
+		return nil, err
 	}
 
-	models := make([]Model, workers)
-	models[0] = probe
-	for w := 1; w < workers; w++ {
-		m, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("uq: worker setup: %w", err)
-		}
-		models[w] = m
-	}
-
-	dim := s.Dim()
-	paramPool := &sync.Pool{New: func() any { return make([]float64, dim) }}
-	outPool := &sync.Pool{New: func() any { return make([]float64, nOut) }}
-	recycle := func(m sampleMsg) {
-		paramPool.Put(m.params)
-		outPool.Put(m.out)
-	}
-
-	jobs := make(chan int)
-	results := make(chan sampleMsg, workers)
-	go func() {
-		defer close(jobs)
-		for i := next; i < end; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := models[w]
-			u := make([]float64, dim)
-			for i := range jobs {
-				params := paramPool.Get().([]float64)
-				out := outPool.Get().([]float64)
-				s.Sample(i, u)
-				TransformPoint(dists, u, params)
-				err := safeEval(m, params, out)
-				if opt.OnSample != nil {
-					opt.OnSample(i, err)
-				}
-				results <- sampleMsg{i: i, params: params, out: out, err: err}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var cpErr error
+	var firstErr, cpErr error
 	writeCheckpoint := func() {
 		if cpPath == "" || cpErr != nil {
 			return
@@ -384,41 +323,32 @@ func RunShard(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler
 		cpErr = cp.Save(cpPath)
 	}
 
-	// Ordered fold through a reorder buffer, as in RunCampaign, with one
-	// twist: crossing a global block boundary starts a fresh accumulator
-	// set, so blocks are independent of everything but the sample stream.
-	var firstErr error
-	pending := make(map[int]sampleMsg, workers)
-	for msg := range results {
-		pending[msg.i] = msg
-		for {
-			m, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if next%plan.BlockSize == 0 || len(blocks) == 0 {
-				st, _ := stats.NewStreamStats(nOut, opt.Threshold, nil) // validated above
-				blocks = append(blocks, st)
-			}
-			if m.err != nil {
-				res.Failures++
-				if firstErr == nil {
-					firstErr = m.err
-				}
-			} else {
-				blocks[len(blocks)-1].Add(m.out)
-			}
-			recycle(m)
-			next++
-			res.Evaluated = next - start
-			if next%cpEvery == 0 && next < end {
-				writeCheckpoint()
-			}
+	// Ordered fold, as in RunCampaign, with one twist: crossing a global
+	// block boundary starts a fresh accumulator set, so blocks are
+	// independent of everything but the sample stream.
+	fold := func(i int, r *sample) bool {
+		if i%plan.BlockSize == 0 || len(blocks) == 0 {
+			st, _ := stats.NewStreamStats(nOut, opt.Threshold, nil) // validated above
+			blocks = append(blocks, st)
 		}
+		if r.err != nil {
+			res.Failures++
+			if firstErr == nil {
+				firstErr = r.err
+			}
+		} else {
+			blocks[len(blocks)-1].Add(r.out)
+		}
+		next = i + 1
+		res.Evaluated = next - start
+		if next%cpEvery == 0 && next < end {
+			writeCheckpoint()
+		}
+		return true
 	}
-	for _, m := range pending {
-		recycle(m)
+	runErr := pool.Run(ctx, ws, next, end, evalSample(s, dists, nOut, opt.OnSample), fold)
+	if runErr != nil && runErr != ctx.Err() {
+		return nil, fmt.Errorf("uq: shard %d: %w", shard, runErr)
 	}
 	res.Blocks = blocks
 
@@ -426,11 +356,11 @@ func RunShard(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler
 	if cpErr != nil {
 		return res, fmt.Errorf("uq: shard checkpoint: %w", cpErr)
 	}
-	if res.Failures == res.Evaluated && res.Evaluated > 0 && ctx.Err() == nil {
-		return nil, fmt.Errorf("uq: every evaluation of shard %d failed; first error: %w", shard, firstErr)
+	if runErr != nil {
+		return res, runErr
 	}
-	if ctx.Err() != nil && next < end {
-		return res, ctx.Err()
+	if res.Failures == res.Evaluated && res.Evaluated > 0 {
+		return nil, fmt.Errorf("uq: every evaluation of shard %d failed; first error: %w", shard, firstErr)
 	}
 	return res, nil
 }

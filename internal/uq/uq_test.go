@@ -2,6 +2,7 @@ package uq
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,27 @@ func TestPseudoRandomDeterministicPerIndex(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different indices produced identical points")
+	}
+}
+
+// TestPseudoRandomStreamUnchanged pins the allocation-free Sample to the
+// rand.New(rand.NewPCG(…)).Float64 stream it replaced, bit for bit, so
+// sampler fingerprints and checkpoints stay valid.
+func TestPseudoRandomStreamUnchanged(t *testing.T) {
+	const d = 3
+	s := PseudoRandom{D: d, Seed: 2016}
+	got := make([]float64, d)
+	for i := 0; i < 100000; i++ {
+		s.Sample(i, got)
+		rng := rand.New(rand.NewPCG(s.Seed, 0x9e3779b97f4a7c15^uint64(i)*0xbf58476d1ce4e5b9))
+		for j := range got {
+			if want := rng.Float64(); math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("index %d coordinate %d: %v, want %v", i, j, got[j], want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { s.Sample(12345, got) }); a != 0 {
+		t.Errorf("PseudoRandom.Sample allocates %v times per call, want 0", a)
 	}
 }
 
