@@ -13,7 +13,7 @@ SHELL := /bin/bash
 # BenchmarkCampaignStreaming carries the retained-heap metric of the
 # streaming campaign path (the hard memory gate lives in internal/uq tests);
 # BenchmarkMatvec tracks the CSR kernel variants (scalar reference,
-# cache-blocked, f32, parallel) that carry the CG inner loop;
+# cache-blocked, parallel) that carry the CG inner loop;
 # BenchmarkSurrogateQuery tracks the surrogate read path (the p50 < 1ms
 # query-latency acceptance of the /v1/surrogates API); BenchmarkRareSolves
 # reports the solves metric — limit-state evaluations each estimator (MC,

@@ -52,18 +52,14 @@ type SimConfig struct {
 	// top of the shared degradation chain, which falls through
 	// ICT → MIC0 → IC0 → Jacobi on factorization failure.
 	Precond string `json:"precond,omitempty"`
-	// Precision selects the inner CG arithmetic: float64 (default) | mixed
-	// (float32 Krylov iterations inside a float64 iterative-refinement
-	// loop; solutions still meet lin_tol against the float64 residual).
-	// Mixed needs a factorization preconditioner — it contradicts
-	// precond=jacobi and precond=none.
-	Precision string `json:"precision,omitempty"`
-	// Deflation puts a two-level (aggregation coarse grid) tier on top of
-	// the preconditioner chain; deflation_block sets the target aggregate
-	// size (0 = solver default). Contradicts precond=jacobi/none, which
-	// have no factorization to wrap.
-	Deflation      bool `json:"deflation,omitempty"`
-	DeflationBlock int  `json:"deflation_block,omitempty"`
+	// Precision (float64 | mixed), Deflation and DeflationBlock are v1
+	// fields accepted as no-ops (DESIGN.md §5b): CoreOptions ignores them,
+	// while Validate still applies the v1 rules (unknown precision, mixed
+	// or deflation over precond=jacobi/none, a negative or orphan
+	// deflation_block), so v1 documents keep their accept/reject outcome.
+	Precision      string `json:"precision,omitempty"`
+	Deflation      bool   `json:"deflation,omitempty"`
+	DeflationBlock int    `json:"deflation_block,omitempty"`
 	// PrecondOmega is the modified-IC relaxation in [0, 1]; 0 keeps the
 	// default (1, full compensation), negative selects plain IC(0).
 	PrecondOmega float64 `json:"precond_omega,omitempty"`
@@ -239,9 +235,8 @@ func (s SimConfig) Validate() error {
 	default:
 		return fmt.Errorf("unknown precision %q", s.Precision)
 	}
-	// Contradictory combinations are rejected here instead of being silently
-	// ignored downstream: both features wrap a factorization preconditioner,
-	// which jacobi/none do not build.
+	// The v1 contradiction rules for the no-op precision/deflation fields
+	// stay, so every v1 document keeps its v1 accept/reject outcome.
 	if s.Precision == "mixed" && (s.Precond == "jacobi" || s.Precond == "none") {
 		return fmt.Errorf("precision=mixed needs a factorization preconditioner; contradicts precond=%s", s.Precond)
 	}
@@ -346,13 +341,6 @@ func (s SimConfig) CoreOptions(forEnsemble bool) core.Options {
 		o.Precond = core.PrecondJacobi
 	case "none":
 		o.Precond = core.PrecondNone
-	}
-	if s.Precision == "mixed" {
-		o.Precision = core.PrecisionMixed
-	}
-	if s.Deflation {
-		o.Deflate = true
-		o.DeflateBlock = s.DeflationBlock
 	}
 	if s.PrecondOmega != 0 {
 		o.PrecondOmega = s.PrecondOmega

@@ -202,7 +202,8 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 }
 
 func TestPrecisionAndDeflationKnobs(t *testing.T) {
-	// Valid combinations materialize into core options.
+	// The v1 precision/deflation fields validate and are accepted no-ops:
+	// the core options match the same config without them.
 	s := SimConfig{
 		EndTimeS: 10, NumSteps: 5,
 		Precond: "ict", Precision: "mixed",
@@ -211,20 +212,15 @@ func TestPrecisionAndDeflationKnobs(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o := s.CoreOptions(false)
-	if o.Precond != core.PrecondICT {
-		t.Error("ict precond selection lost")
-	}
-	if o.Precision != core.PrecisionMixed {
-		t.Error("mixed precision lost")
-	}
-	if !o.Deflate || o.DeflateBlock != 96 {
-		t.Errorf("deflation knobs lost: %+v", o)
-	}
-	// Unset precision stays float64.
-	d := SimConfig{EndTimeS: 10, NumSteps: 5}.CoreOptions(false)
-	if d.Precision != core.PrecisionFloat64 || d.Deflate {
-		t.Errorf("zero-value solver knobs should stay float64/no-deflation: %+v", d)
+	plain := SimConfig{EndTimeS: 10, NumSteps: 5, Precond: "ict"}
+	for _, forEnsemble := range []bool{false, true} {
+		o := s.CoreOptions(forEnsemble)
+		if o.Precond != core.PrecondICT {
+			t.Error("ict precond selection lost")
+		}
+		if want := plain.CoreOptions(forEnsemble); o != want {
+			t.Errorf("ensemble=%v: v1 no-op knobs changed the core options:\n%+v\nvs\n%+v", forEnsemble, o, want)
+		}
 	}
 	// Contradictory combinations are rejected up front, not silently
 	// degraded at solve time.

@@ -18,7 +18,6 @@ import (
 	"etherm/internal/fit"
 	"etherm/internal/grid"
 	"etherm/internal/material"
-	"etherm/internal/solver"
 )
 
 // Problem is the discrete electrothermal problem definition: geometry,
@@ -207,29 +206,6 @@ func (p Precond) String() string {
 	}
 }
 
-// Precision selects the arithmetic of the inner CG solves.
-type Precision int
-
-// Precision kinds.
-const (
-	// PrecisionFloat64 runs every solve fully in float64 (default).
-	PrecisionFloat64 Precision = iota
-	// PrecisionMixed runs the CG iterations in float32 inside a float64
-	// iterative-refinement loop (solver.CGMixed). Solutions still meet
-	// LinTol against the float64 residual; headline observables change only
-	// at the level LinTol already permits, and all streaming/sharded merge
-	// bit-exactness guarantees are untouched (they operate on the solved
-	// fields, not on solver internals).
-	PrecisionMixed
-)
-
-func (p Precision) String() string {
-	if p == PrecisionMixed {
-		return "mixed"
-	}
-	return "float64"
-}
-
 // Options controls the transient solve. The zero value is completed by
 // withDefaults to the paper's Table II settings where applicable.
 type Options struct {
@@ -257,30 +233,6 @@ type Options struct {
 	LinTol     float64
 	LinMaxIter int // default 4000
 	Precond    Precond
-
-	// Precision selects float64 (default) or mixed float32/float64 CG (see
-	// PrecisionMixed). Mixed precision requires a preconditioner with a
-	// float32 apply; with PrecondJacobi/PrecondNone the solver silently runs
-	// float64.
-	Precision Precision
-
-	// Deflate puts a two-level (deflation) preconditioner at the top of the
-	// chain: an aggregation coarse grid captures the smooth error modes the
-	// incomplete factorization damps slowly, applied as a V-cycle around a
-	// plain-IC0 smoother. The coarse space is built once per operator
-	// pattern (or shared via DeflationSpace) and only the factorizations are
-	// refreshed as values drift. On the chip-scale meshes the iteration cut
-	// does not repay the extra apply cost (see DESIGN.md), so this is off by
-	// default; it is the right tool when iteration counts grow with mesh
-	// size. A failed coarse-space build degrades into the normal chain.
-	Deflate bool
-	// DeflateBlock is the target aggregate size of the coarse space
-	// (solver.DefaultAggregateSize when 0).
-	DeflateBlock int
-	// DeflationSpace, when non-nil, supplies a precomputed grid coarse space
-	// (built once per geometry, shared across Monte Carlo samples and
-	// scenario re-runs). It is extended to cover wire DOFs automatically.
-	DeflationSpace *solver.CoarseSpace
 
 	// PrecondRefreshRatio is the lag policy for the cached IC0
 	// preconditioner: the numeric factorization is reused across solves and

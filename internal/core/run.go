@@ -38,12 +38,11 @@ type RunStats struct {
 	// the configured top tier; anything in the lower tiers quantifies what a
 	// downgrade or fallback cost. Fixed fields, not a map, so RunStats stays
 	// comparable with ==.
-	CGItersDeflated int `json:",omitempty"`
-	CGItersICT      int `json:",omitempty"`
-	CGItersMIC0     int `json:",omitempty"`
-	CGItersIC0      int `json:",omitempty"`
-	CGItersJacobi   int `json:",omitempty"`
-	CGItersNone     int `json:",omitempty"`
+	CGItersICT    int `json:",omitempty"`
+	CGItersMIC0   int `json:",omitempty"`
+	CGItersIC0    int `json:",omitempty"`
+	CGItersJacobi int `json:",omitempty"`
+	CGItersNone   int `json:",omitempty"`
 }
 
 // Result holds the transient solution history. Index 0 of every time series

@@ -53,16 +53,14 @@ type Simulator struct {
 // precState caches the preconditioner of one operator across solves. The
 // factorization of the configured top tier is built once per operator
 // matrix, numerically refreshed in place only when the lag policy triggers,
-// and degraded — deflated → ICT → modified IC0 → plain IC0 → Jacobi — at
-// most once per tier per operator, with the reason recorded.
+// and degraded — ICT → modified IC0 → plain IC0 → Jacobi — at most once
+// per tier per operator, with the reason recorded.
 type precState struct {
 	mat      *sparse.CSR // operator matrix this state is bound to
-	defl     *solver.DeflatedPrec
 	ict      *solver.CholPrec
 	ic0      *solver.IC0Prec
 	jac      *solver.JacobiPrec
 	omega    float64 // current modified-IC relaxation (downgraded on failure)
-	deflDead bool    // deflation tier abandoned for this operator
 	ictDead  bool    // ICT tier abandoned for this operator
 	useJac   bool    // permanent fallback for this operator
 	tier     string  // tier that will serve the upcoming solve
@@ -76,8 +74,6 @@ type precState struct {
 // nil when the chain has not been built for this operator yet.
 func (ps *precState) current() solver.Preconditioner {
 	switch {
-	case ps.defl != nil:
-		return ps.defl
 	case ps.ict != nil:
 		return ps.ict
 	case ps.ic0 != nil:
@@ -89,8 +85,6 @@ func (ps *precState) current() solver.Preconditioner {
 // refreshCurrent refactorizes the live tier in place for the drifted values.
 func (ps *precState) refreshCurrent(a *sparse.CSR) error {
 	switch {
-	case ps.defl != nil:
-		return ps.defl.Refresh(a)
 	case ps.ict != nil:
 		return ps.ict.Refresh(a)
 	case ps.ic0 != nil:
@@ -105,9 +99,6 @@ func (ps *precState) refreshCurrent(a *sparse.CSR) error {
 // before downgrading, matching the build-time chain.)
 func (ps *precState) dropCurrent() {
 	switch {
-	case ps.defl != nil:
-		ps.defl = nil
-		ps.deflDead = true
 	case ps.ict != nil:
 		ps.ict = nil
 		ps.ictDead = true
@@ -366,22 +357,8 @@ func (s *Simulator) noteDowngrade(ps *precState, err error) {
 
 // buildChain factorizes the operator at the highest tier the options and
 // this operator's earlier failures allow, degrading
-// deflated → ICT → modified IC0 → plain IC0 → Jacobi.
+// ICT → modified IC0 → plain IC0 → Jacobi.
 func (s *Simulator) buildChain(ps *precState, a *sparse.CSR) solver.Preconditioner {
-	if s.opt.Deflate && !ps.deflDead {
-		d, err := s.buildDeflated(a)
-		if err == nil {
-			ps.defl = d
-			ps.tier = tierDeflated
-			ps.pending, ps.fresh = false, true
-			if s.runStats != nil {
-				s.runStats.PrecondBuilds++
-			}
-			return d
-		}
-		ps.deflDead = true
-		s.noteDowngrade(ps, err)
-	}
 	if s.opt.Precond == PrecondICT && !ps.ictDead {
 		ict, err := solver.NewICT(a, 0, 0)
 		if err == nil {
@@ -419,35 +396,10 @@ func (s *Simulator) buildChain(ps *precState, a *sparse.CSR) solver.Precondition
 	return ic
 }
 
-// buildDeflated assembles the two-level preconditioner: a plain-IC0 smoother
-// (the modified factor's spectrum is unbounded above, which diverges inside
-// a V-cycle) around the aggregation coarse space — the shared precomputed
-// one when the options carry it, extended to any wire DOFs, or one built
-// from this operator's own connectivity.
-func (s *Simulator) buildDeflated(a *sparse.CSR) (*solver.DeflatedPrec, error) {
-	base, err := solver.NewIC0(a)
-	if err != nil {
-		return nil, err
-	}
-	cs := s.opt.DeflationSpace
-	if cs != nil {
-		if cs, err = cs.ExtendedTo(a.Rows); err != nil {
-			return nil, err
-		}
-	} else {
-		size := s.opt.DeflateBlock
-		if size <= 0 {
-			size = solver.DefaultAggregateSize
-		}
-		cs = solver.BuildCoarseSpace(a, size)
-	}
-	return solver.NewDeflated(a, base, cs)
-}
-
 // fallbackJacobi permanently switches one operator's preconditioning to
 // Jacobi after a failed IC0 factorization, recording why.
 func (s *Simulator) fallbackJacobi(ps *precState, a *sparse.CSR, err error) solver.Preconditioner {
-	ps.defl, ps.ict, ps.ic0 = nil, nil, nil
+	ps.ict, ps.ic0 = nil, nil
 	ps.useJac = true
 	ps.tier = tierJacobi
 	ps.fresh = true
@@ -464,24 +416,16 @@ func (s *Simulator) fallbackJacobi(ps *precState, a *sparse.CSR, err error) solv
 	return ps.jac
 }
 
-// solveCG runs one preconditioned CG solve in the configured precision and
-// feeds the outcome to the lag policy, the per-tier RunStats counters and
-// the process-wide solve observer.
+// solveCG runs one preconditioned CG solve and feeds the outcome to the lag
+// policy, the per-tier RunStats counters and the process-wide solve
+// observer.
 func (s *Simulator) solveCG(op string, ws *solver.Workspace, a *sparse.CSR, b, x []float64, ps *precState) (solver.Stats, error) {
 	m := s.preconditioner(ps, a)
 	opt := solver.Options{Tol: s.opt.LinTol, MaxIter: s.opt.LinMaxIter, Workers: s.opt.Workers}
-	var stats solver.Stats
-	var err error
-	if s.opt.Precision == PrecisionMixed {
-		stats, err = solver.CGMixed(ws, a, b, x, m, opt)
-	} else {
-		stats, err = solver.CGWith(ws, a, b, x, m, opt)
-	}
+	stats, err := solver.CGWith(ws, a, b, x, m, opt)
 	ps.noteIters(stats.Iterations, s.opt.PrecondRefreshRatio)
 	if s.runStats != nil {
 		switch ps.tier {
-		case tierDeflated:
-			s.runStats.CGItersDeflated += stats.Iterations
 		case tierICT:
 			s.runStats.CGItersICT += stats.Iterations
 		case tierMIC0:

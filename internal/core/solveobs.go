@@ -6,12 +6,11 @@ import "sync/atomic"
 // observer. They name the position in the degradation chain that served a
 // solve, not the option that was requested.
 const (
-	tierDeflated = "deflated"
-	tierICT      = "ict"
-	tierMIC0     = "mic0"
-	tierIC0      = "ic0"
-	tierJacobi   = "jacobi"
-	tierNone     = "none"
+	tierICT    = "ict"
+	tierMIC0   = "mic0"
+	tierIC0    = "ic0"
+	tierJacobi = "jacobi"
+	tierNone   = "none"
 )
 
 // SolveObserver receives one callback per inner CG solve: the operator

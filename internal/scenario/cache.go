@@ -11,7 +11,6 @@ import (
 	"etherm/internal/core"
 	"etherm/internal/fit"
 	"etherm/internal/material"
-	"etherm/internal/solver"
 )
 
 // GeometryKey hashes the fields of a chip specification that determine the
@@ -39,48 +38,6 @@ type assemblyEntry struct {
 	lay  *chipmodel.Layout
 	asm  *fit.Assembler
 	err  error
-
-	// Deflation coarse spaces by aggregate size, built lazily from the
-	// cached grid assembly and shared read-only across every scenario and
-	// Monte Carlo sample on this geometry (the aggregation depends only on
-	// mesh connectivity and nominal conductances, not on wires or drive).
-	csMu sync.Mutex
-	cs   map[int]*solver.CoarseSpace
-}
-
-// coarseSpace returns the entry's coarse space for the given aggregate size,
-// building it on first use from a nominal thermal operator of the grid (the
-// wire DOFs are appended per simulator via CoarseSpace.ExtendedTo).
-func (e *assemblyEntry) coarseSpace(block int) (*solver.CoarseSpace, error) {
-	if block <= 0 {
-		block = solver.DefaultAggregateSize
-	}
-	e.csMu.Lock()
-	defer e.csMu.Unlock()
-	if cs, ok := e.cs[block]; ok {
-		return cs, nil
-	}
-	g := e.lay.Problem.Grid
-	ne := g.NumEdges()
-	branches := make([]fit.Branch, ne)
-	for i := 0; i < ne; i++ {
-		n1, n2 := g.EdgeNodes(i)
-		branches[i] = fit.Branch{N1: n1, N2: n2}
-	}
-	op, err := fit.NewOperator(g.NumNodes(), branches)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: coarse-space operator: %w", err)
-	}
-	cond := make([]float64, ne)
-	e.asm.EdgeConductances(fit.Thermal, nil, cond)
-	op.SetValues(cond)
-	op.AddDiag(e.asm.MassDiag())
-	cs := solver.BuildCoarseSpace(op.Matrix(), block)
-	if e.cs == nil {
-		e.cs = make(map[int]*solver.CoarseSpace)
-	}
-	e.cs[block] = cs
-	return cs, nil
 }
 
 // AssemblyCache deduplicates mesh construction and FIT operator assembly
@@ -113,6 +70,14 @@ func (c *AssemblyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// cached reports whether the geometry key has an entry.
+func (c *AssemblyCache) cached(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // normalized returns the spec with every non-geometry field pinned to a
@@ -182,24 +147,11 @@ type Instance struct {
 	Wires []chipmodel.WireInfo
 	// CacheHit reports whether the mesh assembly was reused.
 	CacheHit bool
-
-	// entry links back to the cache entry for lazily-built shared artifacts
-	// (deflation coarse spaces).
-	entry *assemblyEntry
 }
 
 // Simulator builds a simulator for the instance with the given options,
-// sharing the cached mesh assembly. When the options request deflation
-// without supplying a coarse space, the geometry's cached space is attached
-// so every scenario and Monte Carlo sample on this mesh shares one
-// aggregation (a build failure is left to the simulator's degradation
-// chain rather than failing the run).
+// sharing the cached mesh assembly.
 func (in *Instance) Simulator(opt core.Options) (*core.Simulator, error) {
-	if opt.Deflate && opt.DeflationSpace == nil && in.entry != nil {
-		if cs, err := in.entry.coarseSpace(opt.DeflateBlock); err == nil {
-			opt.DeflationSpace = cs
-		}
-	}
 	return core.NewSimulatorShared(in.Problem, opt, in.Assembler)
 }
 
@@ -285,6 +237,5 @@ func (c *AssemblyCache) Instantiate(spec chipmodel.Spec, activePairs []int) (*In
 		Layout:    lay,
 		Wires:     wires,
 		CacheHit:  hit,
-		entry:     e,
 	}, nil
 }

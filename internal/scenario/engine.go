@@ -77,7 +77,7 @@ func NewEngine() *Engine {
 // for isolated progress reporting) use this so meshes stay warm across
 // jobs. Note that with concurrent engines on one cache the per-batch
 // CacheHits/CacheMisses deltas can interleave; the per-scenario CacheHit
-// flags remain exact.
+// flags are fixed against the cache contents at batch start (see Run).
 func NewEngineWithCache(c *AssemblyCache) *Engine {
 	return &Engine{cache: c}
 }
@@ -146,8 +146,9 @@ func (r *BatchResult) Failed() []*ScenarioResult {
 // breakdown or panic) is isolated: its result records the error and the
 // remaining scenarios proceed. The returned results are ordered exactly
 // like b.Scenarios and, for a fixed batch, are bit-identical regardless of
-// worker counts; Run errors only on a structurally invalid batch or a
-// canceled context.
+// worker counts — the per-scenario CacheHit flags included, which
+// cacheHits fixes before fan-out. Run errors only on a structurally invalid
+// batch or a canceled context.
 func (e *Engine) Run(ctx context.Context, b *Batch) (*BatchResult, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -157,6 +158,7 @@ func (e *Engine) Run(ctx context.Context, b *Batch) (*BatchResult, error) {
 
 	hits0, misses0 := e.cache.Hits(), e.cache.Misses()
 	start := time.Now()
+	hit := e.cacheHits(b)
 	results := make([]*ScenarioResult, n)
 	idx := make(chan int)
 	var canceled atomic.Bool
@@ -171,7 +173,9 @@ func (e *Engine) Run(ctx context.Context, b *Batch) (*BatchResult, error) {
 					results[i] = failedResult(i, b.Scenarios[i], ctx.Err())
 					continue
 				}
-				results[i] = e.runScenario(ctx, i, b.Scenarios[i], sampleWorkers)
+				r := e.runScenario(ctx, i, b.Scenarios[i], sampleWorkers)
+				r.CacheHit = r.OK && hit[i]
+				results[i] = r
 			}
 		}()
 	}
@@ -200,6 +204,29 @@ func (e *Engine) Run(ctx context.Context, b *Batch) (*BatchResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// cacheHits decides every scenario's CacheHit flag in index order, so the
+// flags do not depend on which worker reaches the assembly cache first: a
+// scenario that gets as far as the cache is a hit exactly when its geometry
+// was cached before the batch started or a lower-index scenario of the
+// batch shares the geometry.
+func (e *Engine) cacheHits(b *Batch) []bool {
+	hit := make([]bool, len(b.Scenarios))
+	seen := make(map[string]bool)
+	for i, s := range b.Scenarios {
+		if s.Validate() != nil {
+			continue
+		}
+		spec, err := s.Chip.Materialize()
+		if err != nil || spec.Validate() != nil {
+			continue
+		}
+		key := GeometryKey(spec)
+		hit[i] = seen[key] || e.cache.cached(key)
+		seen[key] = true
+	}
+	return hit
 }
 
 // emit sends a progress event if a listener is registered.

@@ -3,8 +3,10 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"etherm/internal/config"
 	"etherm/internal/core"
@@ -80,6 +82,88 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	parallel := run(3, 2)
 	if serial != parallel {
 		t.Errorf("results depend on worker split:\nserial:   %s\nparallel: %s", serial, parallel)
+	}
+}
+
+// TestEngineCacheHitFollowsIndexOrder: with shared geometry the
+// per-scenario cache_hit flags follow batch index order, not scheduling.
+// Index 0 is held at its start event until index 1 has finished, so index 1
+// builds the cached assembly; the flags must still read [false, true].
+func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled-field batch is seconds-scale")
+	}
+	e := NewEngine()
+	e.Workers = 2
+	e.SampleWorkers = 1
+	secondDone := make(chan struct{})
+	e.OnEvent = func(ev Event) {
+		switch {
+		case ev.Index == 0 && ev.Phase == PhaseStart:
+			select {
+			case <-secondDone:
+			case <-time.After(30 * time.Second):
+				t.Error("scenario 1 did not finish within 30 s while scenario 0 waited")
+			}
+		case ev.Index == 1 && (ev.Phase == PhaseDone || ev.Phase == PhaseFailed):
+			close(secondDone)
+		}
+	}
+	b := &Batch{Scenarios: []Scenario{
+		{Name: "first", Chip: ChipSpec{HMaxM: testHMax}, Sim: fastSim},
+		{Name: "second", Chip: ChipSpec{HMaxM: testHMax, DriveScale: 0.9}, Sim: fastSim},
+	}}
+	res, err := e.Run(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedCount != 0 {
+		t.Fatalf("batch had failures: %+v", res.Failed())
+	}
+	if got := [2]bool{res.Scenarios[0].CacheHit, res.Scenarios[1].CacheHit}; got != [2]bool{false, true} {
+		t.Errorf("cache_hit flags %v, want [false true]", got)
+	}
+	if res.CacheHits != 1 || res.CacheMisses != 1 {
+		t.Errorf("cache hits/misses %d/%d, want 1/1", res.CacheHits, res.CacheMisses)
+	}
+}
+
+// TestV1SolverKnobsAreNoOps pins the v1 contract of the removed solver
+// features: a document carrying precision, deflation and deflation_block
+// validates and runs to results byte-identical to the same document
+// without them, on both the strict (MIC0) and the ensemble (ICT) chain.
+func TestV1SolverKnobsAreNoOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled-field batch is seconds-scale")
+	}
+	const doc = `{"scenarios": [
+		{"name": "nominal", "chip": {"hmax_m": 0.0008},
+		 "sim": {"end_time_s": 10, "num_steps": 4, "coupling": "weak", "nonlinear": "newton"%[1]s}},
+		{"name": "mc-sharded", "chip": {"hmax_m": 0.0008},
+		 "sim": {"end_time_s": 10, "num_steps": 4, "coupling": "weak", "nonlinear": "newton", "precond": "ict"%[1]s},
+		 "uq": {"method": "monte-carlo", "samples": 6, "seed": 7, "shards": 2, "shard_block": 2}}
+	]}`
+	run := func(knobs string) string {
+		b, err := ParseBatch([]byte(fmt.Sprintf(doc, knobs)))
+		if err != nil {
+			t.Fatalf("knobs %q: %v", knobs, err)
+		}
+		res, err := NewEngine().Run(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FailedCount != 0 {
+			t.Fatalf("knobs %q: batch had failures: %+v", knobs, res.Failed())
+		}
+		for _, s := range res.Scenarios {
+			s.CacheHit = false
+		}
+		return summaryJSON(t, res)
+	}
+	with := run(`, "precision": "mixed", "deflation": true, "deflation_block": 64`)
+	without := run("")
+	if with != without {
+		t.Errorf("v1 solver knobs changed the results:\nwith:    %s\nwithout: %s", with, without)
 	}
 }
 

@@ -28,7 +28,8 @@ type ScenarioResult struct {
 	OK          bool   `json:"ok"`
 	Error       string `json:"error,omitempty"`
 
-	// CacheHit reports whether the mesh assembly was served from the cache.
+	// CacheHit reports whether the mesh assembly was served from the cache;
+	// within a batch it follows scenario index order (see Engine.Run).
 	CacheHit bool    `json:"cache_hit"`
 	ElapsedS float64 `json:"elapsed_s"`
 
@@ -137,7 +138,6 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 	res := &ScenarioResult{
 		Index: i, Name: s.Name, Description: s.Description,
 		Method:    method,
-		CacheHit:  inst.CacheHit,
 		GridNodes: inst.Problem.Grid.NumNodes(),
 		NumWires:  len(inst.Problem.Wires),
 	}

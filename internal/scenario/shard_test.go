@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"testing"
 
 	"etherm/internal/uq"
@@ -65,69 +64,6 @@ func TestShardedScenarioInvariantAcrossK(t *testing.T) {
 		if got != want {
 			t.Errorf("K=%d workers=%d: result differs from the K=1 run:\n%s\nvs\n%s", tc.k, tc.sampleWorkers, got, want)
 		}
-	}
-}
-
-// TestShardedScenarioMixedPrecisionInvariant re-runs the shard/worker
-// invariance gate with the mixed-precision solver enabled: the bit-exact
-// merge guarantee is a property of the streaming accumulator layer and
-// must survive any solver precision policy. The mixed-precision result is
-// additionally compared against a float64 run of the same scenario — the
-// headline temperature must agree to far better than solver tolerance,
-// because CGMixed corrects every inner float32 solve against the float64
-// residual.
-func TestShardedScenarioMixedPrecisionInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs coupled-field ensembles")
-	}
-	mixedSim := fastSim
-	mixedSim.Precond = "ict"
-	mixedSim.Precision = "mixed"
-	scn := func(shards int) Scenario {
-		s := shardedScenario(shards)
-		s.Sim = mixedSim
-		return s
-	}
-	eng := NewEngine()
-	var want string
-	var wantT float64
-	for i, tc := range []struct{ k, sampleWorkers int }{
-		{1, 1}, {2, 2}, {4, 1}, {4, 8},
-	} {
-		b := &Batch{SampleWorkers: tc.sampleWorkers, Scenarios: []Scenario{scn(tc.k)}}
-		res, err := eng.Run(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FailedCount != 0 {
-			t.Fatalf("K=%d: scenario failed: %+v", tc.k, res.Failed())
-		}
-		sc := res.Scenarios[0]
-		sc.Shards = 0
-		sc.CacheHit = false
-		got := resultJSON(t, sc)
-		if i == 0 {
-			want, wantT = got, sc.TEndMaxK
-			continue
-		}
-		if got != want {
-			t.Errorf("K=%d workers=%d: mixed-precision result differs from the K=1 run", tc.k, tc.sampleWorkers)
-		}
-	}
-
-	// Float64 reference of the identical scenario (same shards/seed).
-	f64 := scn(1)
-	f64.Sim.Precision = ""
-	res, err := eng.Run(context.Background(), &Batch{Scenarios: []Scenario{f64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailedCount != 0 {
-		t.Fatalf("float64 reference failed: %+v", res.Failed())
-	}
-	refT := res.Scenarios[0].TEndMaxK
-	if diff := math.Abs(wantT - refT); diff > 1e-6*refT {
-		t.Errorf("mixed-precision T_end_max %.9g K vs float64 %.9g K (diff %.3g)", wantT, refT, diff)
 	}
 }
 

@@ -246,12 +246,12 @@ func (s *Server) initMetrics() {
 	// to the preconditioner tier that served them (a drift away from the
 	// configured top tier flags degradation in production).
 	cgHist := make(map[string]*metrics.Histogram, 2)
-	cgSolves := make(map[string]*metrics.Counter, 12)
+	cgSolves := make(map[string]*metrics.Counter, 10)
 	cgBounds := []float64{5, 10, 15, 20, 25, 35, 50, 75, 100, 150, 250, 500, 1000}
 	for _, op := range []string{"electric", "thermal"} {
 		cgHist[op] = s.reg.NewHistogram("etherm_cg_iterations",
 			"CG iterations per linear solve.", metrics.Labels{"op": op}, cgBounds)
-		for _, tier := range []string{"deflated", "ict", "mic0", "ic0", "jacobi", "none"} {
+		for _, tier := range []string{"ict", "mic0", "ic0", "jacobi", "none"} {
 			cgSolves[op+"/"+tier] = s.reg.NewCounter("etherm_cg_solves_total",
 				"Linear solves by preconditioner tier.", metrics.Labels{"op": op, "tier": tier})
 		}

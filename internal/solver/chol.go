@@ -8,53 +8,33 @@ import (
 	"etherm/internal/sparse"
 )
 
-// ErrCholesky reports that the complete-factorization preconditioner cannot
-// be built for a matrix (excessive fill under the fill-reducing ordering, or
-// a non-positive pivot). Callers degrade to the incomplete-factor chain.
-var ErrCholesky = errors.New("solver: complete Cholesky unavailable")
-
-// cholMaxFillRatio bounds the size of the complete factor: if nnz(L) exceeds
-// this multiple of the strictly-lower nnz of A, the factorization is refused
-// and callers stay on the incomplete-factor chain. The FIT meshes of this
-// code factor at ratios around 4–10 under the nested-dissection ordering;
-// the bound protects pathological graphs and very large meshes, where the
-// memory and refactorization cost would outweigh the iteration savings.
-const cholMaxFillRatio = 40
+// ErrCholesky reports that the threshold-Cholesky preconditioner cannot be
+// built for a matrix (a non-positive pivot, or a matrix too large for int32
+// indexing). Callers degrade to the level-0 factors.
+var ErrCholesky = errors.New("solver: incomplete Cholesky unavailable")
 
 // ndLeafSize is the partition size below which nested dissection stops and
 // keeps the natural order.
 const ndLeafSize = 48
 
-// CholPrec is a sparse Cholesky-type factorization P A Pᵀ ≈ L Lᵀ used as a
-// CG preconditioner. P is a fill-reducing nested-dissection permutation
-// computed from the pattern once at construction; Refresh refactorizes
-// numerically in place (allocation-free) for new values on the same pattern.
-//
-// Two flavours share the storage, solves and refactorization machinery:
-//
-//   - NewCholesky computes the exact factor on the symbolically predicted
-//     fill pattern; CG then converges in one iteration when fresh and in a
-//     handful under the simulator's lag-policy drift. On the 3-D FIT meshes
-//     its fill ratio (~15× the lower triangle) makes each application cost
-//     about as much as 15 incomplete-factor applications, so the exact
-//     factor is a correctness reference and small-system tool, not the
-//     production tier.
-//   - NewICT keeps, per column, only the lfil largest magnitudes above a
-//     drop threshold (a dual-threshold incomplete factorization). At 2–4×
-//     fill it cuts the iteration count several-fold over the level-0
-//     factors while each iteration stays cheap — this is the production
-//     top tier of the preconditioner chain.
+// CholPrec is the dual-threshold incomplete Cholesky factorization
+// P A Pᵀ ≈ L Lᵀ (ICT) used as a CG preconditioner. P is a fill-reducing
+// nested-dissection permutation computed from the pattern once at
+// construction. Per factor column, only the lfil largest magnitudes above a
+// drop threshold are kept: at 2–4× fill this cuts the iteration count
+// several-fold over the level-0 factors while each iteration stays cheap,
+// which makes it the top tier of the ensemble preconditioner chain. Refresh
+// refactorizes numerically in place (allocation-free) for new values on the
+// same pattern.
 //
 // The factor is stored column-major with the diagonal entry first in each
 // column, so the forward solve is a scatter loop and the backward solve a
-// gather loop, both streaming sequentially over the factor. A float32
-// mirror of the factor serves the mixed-precision solver (Apply32).
+// gather loop, both streaming sequentially over the factor.
 type CholPrec struct {
-	n     int
-	exact bool // symbolic full-fill pattern vs threshold-dropped pattern
+	n int
 
-	dropTol float64 // ICT: drop l_ij with |l_ij| ≤ dropTol·l_jj
-	lfil    int     // ICT: max kept off-diagonal entries per column
+	dropTol float64 // drop l_ij with |l_ij| ≤ dropTol·l_jj
+	lfil    int     // max kept off-diagonal entries per column
 
 	perm  []int32 // perm[k]: original index of the k-th eliminated DOF
 	iperm []int32 // inverse permutation
@@ -79,24 +59,19 @@ type CholPrec struct {
 	ptr       []int32
 	pr        []float64
 
-	// ICT scratch: the touched-row set of the current column and the
-	// candidate heap of the dual-threshold selection.
+	// Scratch of the dual-threshold selection: the touched-row set of the
+	// current column and the candidate heap.
 	marker  []int32
 	touch   []int32
 	candRow []int32
 	candVal []float64
 	keepRow []int32
 	keepVal []float64
-
-	val32   []float32
-	inv32   []float32
-	pr32    []float32
-	f32good bool
 }
 
-// newCholBase computes the shared ingredients of both factorization
-// flavours: the fill-reducing ordering and the scatter map from source
-// entries to permuted lower-triangle columns.
+// newCholBase computes the pattern-only ingredients of the factorization:
+// the fill-reducing ordering and the scatter map from source entries to
+// permuted lower-triangle columns.
 func newCholBase(a *sparse.CSR) (*CholPrec, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -145,124 +120,6 @@ func newCholBase(a *sparse.CSR) (*CholPrec, error) {
 	c.nxt = make([]int32, n)
 	c.ptr = make([]int32, n)
 	c.pr = make([]float64, n)
-	return c, nil
-}
-
-// NewCholesky computes the fill-reducing ordering, the symbolic factorization
-// and the first numeric factorization of the SPD matrix a — the exact
-// complete factor. It returns an ErrCholesky-wrapped error when the fill
-// bound is exceeded or a pivot is not positive.
-func NewCholesky(a *sparse.CSR) (*CholPrec, error) {
-	c, err := newCholBase(a)
-	if err != nil {
-		return nil, err
-	}
-	c.exact = true
-	n := c.n
-
-	// Permuted strictly-lower adjacency, row-major: row i lists the permuted
-	// columns j < i adjacent to i (unsorted; the elimination-tree walks do
-	// not need an order).
-	lowPtr := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			pi, pj := c.iperm[i], c.iperm[a.ColIdx[k]]
-			if pj < pi {
-				lowPtr[pi+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		lowPtr[i+1] += lowPtr[i]
-	}
-	lowIdx := make([]int32, lowPtr[n])
-	next := append([]int32(nil), lowPtr[:n]...)
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			pi, pj := c.iperm[i], c.iperm[a.ColIdx[k]]
-			if pj < pi {
-				lowIdx[next[pi]] = pj
-				next[pi]++
-			}
-		}
-	}
-
-	// Elimination tree (Liu's algorithm with path compression).
-	parent := make([]int32, n)
-	ancestor := make([]int32, n)
-	for i := 0; i < n; i++ {
-		parent[i] = -1
-		ancestor[i] = -1
-		for k := lowPtr[i]; k < lowPtr[i+1]; k++ {
-			j := lowIdx[k]
-			for j != -1 && j < int32(i) {
-				jn := ancestor[j]
-				ancestor[j] = int32(i)
-				if jn == -1 {
-					parent[j] = int32(i)
-				}
-				j = jn
-			}
-		}
-	}
-
-	// Symbolic factorization: the pattern of L row i is the set of nodes on
-	// the elimination-tree paths from each adjacent column up to i. Pass one
-	// counts per-column entries (diagonal included), pass two fills the
-	// column-major pattern; visiting rows in ascending order keeps each
-	// column's row indices sorted.
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	colCount := make([]int32, n)
-	for i := 0; i < n; i++ {
-		mark[i] = int32(i)
-		colCount[i]++ // diagonal
-		for k := lowPtr[i]; k < lowPtr[i+1]; k++ {
-			for j := lowIdx[k]; mark[j] != int32(i); j = parent[j] {
-				mark[j] = int32(i)
-				colCount[j]++
-			}
-		}
-	}
-	nnzL := int32(0)
-	for _, cn := range colCount {
-		nnzL += cn
-	}
-	nLowerA := lowPtr[n]
-	if nLowerA > 0 && int(nnzL) > int(nLowerA)*cholMaxFillRatio {
-		return nil, fmt.Errorf("%w: fill %d exceeds %d× the lower triangle (%d entries)",
-			ErrCholesky, nnzL, cholMaxFillRatio, nLowerA)
-	}
-
-	c.colPtr = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		c.colPtr[i+1] = c.colPtr[i] + colCount[i]
-	}
-	c.rowIdx = make([]int32, nnzL)
-	fillNext := append([]int32(nil), c.colPtr[:n]...)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		mark[i] = int32(i)
-		c.rowIdx[fillNext[i]] = int32(i) // diagonal first
-		fillNext[i]++
-		for k := lowPtr[i]; k < lowPtr[i+1]; k++ {
-			for j := lowIdx[k]; mark[j] != int32(i); j = parent[j] {
-				mark[j] = int32(i)
-				c.rowIdx[fillNext[j]] = int32(i)
-				fillNext[j]++
-			}
-		}
-	}
-
-	c.val = make([]float64, nnzL)
-
-	if err := c.Refresh(a); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -317,76 +174,6 @@ func NewICT(a *sparse.CSR, dropTol float64, lfil int) (*CholPrec, error) {
 // NNZ returns the number of stored entries of the factor (fill included).
 func (c *CholPrec) NNZ() int { return int(c.colPtr[c.n]) }
 
-// Refresh refactorizes numerically for the current values of a (same
-// pattern), allocating nothing. Both flavours run the standard left-looking
-// sparse column Cholesky driven by link lists of pending column updates; the
-// threshold flavour additionally rebuilds the kept pattern as it goes.
-func (c *CholPrec) Refresh(a *sparse.CSR) error {
-	if a.Rows != c.n || a.Cols != c.n || a.NNZ() != c.srcNNZ {
-		return errors.New("solver: Cholesky refresh pattern mismatch")
-	}
-	c.f32good = false
-	if c.exact {
-		return c.refreshExact(a)
-	}
-	return c.refreshThreshold(a)
-}
-
-func (c *CholPrec) refreshExact(a *sparse.CSR) error {
-	n := c.n
-	for i := 0; i < n; i++ {
-		c.head[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		j32 := int32(j)
-		// Scatter A(:, j) of the permuted lower triangle into the dense
-		// workspace over the pattern of L(:, j).
-		for q := c.colPtr[j]; q < c.colPtr[j+1]; q++ {
-			c.w[c.rowIdx[q]] = 0
-		}
-		for s := c.srcPtr[j]; s < c.srcPtr[j+1]; s++ {
-			c.w[c.srcRow[s]] += a.Val[c.srcPos[s]]
-		}
-		ajj := math.Abs(c.w[j])
-		// Apply the pending updates of every earlier column k with
-		// L[j,k] ≠ 0; the link list head[j] enumerates exactly those.
-		for k := c.head[j]; k != -1; {
-			kNext := c.nxt[k]
-			p := c.ptr[k] // position of row j in column k
-			ljk := c.val[p]
-			for q := p; q < c.colPtr[k+1]; q++ {
-				c.w[c.rowIdx[q]] -= c.val[q] * ljk
-			}
-			if p+1 < c.colPtr[k+1] {
-				r := c.rowIdx[p+1]
-				c.ptr[k] = p + 1
-				c.nxt[k] = c.head[r]
-				c.head[r] = k
-			}
-			k = kNext
-		}
-		d := c.w[j]
-		if d <= 0 || d <= micPivotFloor*ajj || math.IsNaN(d) {
-			return fmt.Errorf("%w: non-positive pivot at permuted row %d", ErrCholesky, j)
-		}
-		ljj := math.Sqrt(d)
-		dpos := c.colPtr[j]
-		c.val[dpos] = ljj
-		inv := 1 / ljj
-		c.inv[j] = inv
-		for q := dpos + 1; q < c.colPtr[j+1]; q++ {
-			c.val[q] = c.w[c.rowIdx[q]] * inv
-		}
-		if dpos+1 < c.colPtr[j+1] {
-			r := c.rowIdx[dpos+1]
-			c.ptr[j] = dpos + 1
-			c.nxt[j] = c.head[r]
-			c.head[r] = j32
-		}
-	}
-	return nil
-}
-
 // weakerKeep orders dropped-entry candidates: entry 1 is weaker than entry 2
 // if its magnitude is smaller, with row index breaking ties so the selection
 // is deterministic.
@@ -430,13 +217,17 @@ func (c *CholPrec) keepSiftUp(i int) {
 	}
 }
 
-// refreshThreshold runs the left-looking factorization with dual-threshold
-// dropping: the pattern of each column is whatever survives the drop
-// tolerance and the lfil cap, recomputed from the current values. Because
-// later columns only consume entries that survived in earlier columns, the
-// link-list update machinery is identical to the exact flavour; only the
+// Refresh refactorizes numerically for the current values of a (same
+// pattern), allocating nothing. It runs the left-looking sparse column
+// Cholesky driven by link lists of pending column updates with
+// dual-threshold dropping: the pattern of each column is whatever survives
+// the drop tolerance and the lfil cap, recomputed from the current values.
+// Later columns only consume entries that survived in earlier columns; the
 // per-column scatter set is tracked dynamically (marker + touch list).
-func (c *CholPrec) refreshThreshold(a *sparse.CSR) error {
+func (c *CholPrec) Refresh(a *sparse.CSR) error {
+	if a.Rows != c.n || a.Cols != c.n || a.NNZ() != c.srcNNZ {
+		return errors.New("solver: Cholesky refresh pattern mismatch")
+	}
 	n := c.n
 	// marker must be cleared too: stamps are column indices, so a stamp left
 	// by the previous refresh would alias the same column this time around,
@@ -598,54 +389,6 @@ func (c *CholPrec) Apply(dst, r []float64) {
 			s0 += val[q] * x[rowIdx[q]]
 		}
 		x[j] = (x[j] - ((s0 + s1) + (s2 + s3))) * c.inv[j]
-	}
-	for k := 0; k < n; k++ {
-		dst[c.perm[k]] = x[k]
-	}
-}
-
-// ensure32 populates the float32 factor mirror (allocating on first use).
-func (c *CholPrec) ensure32() {
-	if c.val32 == nil {
-		c.val32 = make([]float32, len(c.val))
-		c.inv32 = make([]float32, c.n)
-		c.pr32 = make([]float32, c.n)
-	}
-	for k, v := range c.val {
-		c.val32[k] = float32(v)
-	}
-	for k, v := range c.inv {
-		c.inv32[k] = float32(v)
-	}
-	c.f32good = true
-}
-
-// Apply32 is the float32 analogue of Apply for the mixed-precision solver.
-// The mirror is refreshed lazily after each Refresh.
-func (c *CholPrec) Apply32(dst, r []float32) {
-	if !c.f32good {
-		c.ensure32()
-	}
-	n := c.n
-	x := c.pr32
-	for k := 0; k < n; k++ {
-		x[k] = r[c.perm[k]]
-	}
-	for j := 0; j < n; j++ {
-		dpos := c.colPtr[j]
-		yj := x[j] * c.inv32[j]
-		x[j] = yj
-		for q := dpos + 1; q < c.colPtr[j+1]; q++ {
-			x[c.rowIdx[q]] -= c.val32[q] * yj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		dpos := c.colPtr[j]
-		s := x[j]
-		for q := dpos + 1; q < c.colPtr[j+1]; q++ {
-			s -= c.val32[q] * x[c.rowIdx[q]]
-		}
-		x[j] = s * c.inv32[j]
 	}
 	for k := 0; k < n; k++ {
 		dst[c.perm[k]] = x[k]

@@ -49,14 +49,6 @@ type IC0Prec struct {
 	srcLower []int32
 	srcDiag  []int32
 	srcNNZ   int
-
-	// float32 mirror of the factor for the mixed-precision solver; allocated
-	// on first Apply32 and refreshed lazily after each Refresh.
-	val32   []float32
-	upVal32 []float32
-	invDg32 []float32
-	work32  []float32
-	f32good bool
 }
 
 // micPivotFloor rejects factorizations whose compensated pivot collapses
@@ -233,28 +225,7 @@ func (p *IC0Prec) Refresh(a *sparse.CSR) error {
 	for k, low := range p.lowPos {
 		p.upVal[k] = p.val[low]
 	}
-	p.f32good = false
 	return nil
-}
-
-// ensure32 (re)populates the float32 factor mirror.
-func (p *IC0Prec) ensure32() {
-	if p.val32 == nil {
-		p.val32 = make([]float32, len(p.val))
-		p.upVal32 = make([]float32, len(p.upVal))
-		p.invDg32 = make([]float32, p.n)
-		p.work32 = make([]float32, p.n)
-	}
-	for k, v := range p.val {
-		p.val32[k] = float32(v)
-	}
-	for k, v := range p.upVal {
-		p.upVal32[k] = float32(v)
-	}
-	for k, v := range p.invDg {
-		p.invDg32[k] = float32(v)
-	}
-	p.f32good = true
 }
 
 // Apply solves L Lᵀ dst = r.
@@ -275,27 +246,5 @@ func (p *IC0Prec) Apply(dst, r []float64) {
 			s -= p.upVal[k] * dst[p.upIdx[k]]
 		}
 		dst[i] = s * p.invDg[i]
-	}
-}
-
-// Apply32 solves L Lᵀ dst = r in float32, for the mixed-precision solver.
-func (p *IC0Prec) Apply32(dst, r []float32) {
-	if !p.f32good {
-		p.ensure32()
-	}
-	y := p.work32
-	for i := 0; i < p.n; i++ {
-		s := r[i]
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			s -= p.val32[k] * y[p.colIdx[k]]
-		}
-		y[i] = s * p.invDg32[i]
-	}
-	for i := p.n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := p.upPtr[i]; k < p.upPtr[i+1]; k++ {
-			s -= p.upVal32[k] * dst[p.upIdx[k]]
-		}
-		dst[i] = s * p.invDg32[i]
 	}
 }

@@ -1,7 +1,7 @@
-// Package solver provides the iterative and direct linear solvers and the
-// damped Newton method used by the electrothermal simulator. The conjugate
-// gradient solver with Jacobi or incomplete-Cholesky preconditioning is the
-// workhorse for the symmetric positive definite FIT operators.
+// Package solver provides the preconditioned conjugate gradient solver used
+// by the electrothermal simulator on its symmetric positive definite FIT
+// operators, with Jacobi and incomplete-Cholesky (IC0, MIC0, ICT)
+// preconditioners.
 package solver
 
 import (
@@ -190,9 +190,6 @@ func (o Options) withDefaults(n int) Options {
 // Newton × coupling × time-step × sample loops.
 type Workspace struct {
 	r, z, p, ap []float64
-
-	// float32 scratch for CGMixed, allocated lazily on first mixed solve.
-	r32, z32, p32, ap32, d32 []float32
 }
 
 // NewWorkspace returns a workspace for systems of n unknowns.
@@ -367,84 +364,4 @@ func mulVecDot(a *sparse.CSR, dst, x []float64) float64 {
 		dot += x[i] * s
 	}
 	return dot
-}
-
-// BiCGSTAB solves the (possibly nonsymmetric) system A x = b. x is the
-// starting guess, updated in place.
-func BiCGSTAB(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options) (Stats, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n || len(x) != n {
-		return Stats{}, fmt.Errorf("solver: BiCGSTAB dimension mismatch")
-	}
-	opt = opt.withDefaults(n)
-	if m == nil {
-		m = IdentityPrec{}
-	}
-
-	r := make([]float64, n)
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	normB := sparse.Norm2(b)
-	if normB == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return Stats{Converged: true}, nil
-	}
-	rHat := append([]float64(nil), r...)
-	var (
-		rho, alpha, omega = 1.0, 1.0, 1.0
-		v                 = make([]float64, n)
-		p                 = make([]float64, n)
-		ph                = make([]float64, n)
-		s                 = make([]float64, n)
-		sh                = make([]float64, n)
-		t                 = make([]float64, n)
-	)
-	for it := 1; it <= opt.MaxIter; it++ {
-		rhoNew := sparse.Dot(rHat, r)
-		if rhoNew == 0 {
-			return Stats{Iterations: it, Residual: sparse.Norm2(r) / normB},
-				errors.New("solver: BiCGSTAB breakdown (rho=0)")
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		m.Apply(ph, p)
-		a.MulVec(v, ph)
-		alpha = rho / sparse.Dot(rHat, v)
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if res := sparse.Norm2(s) / normB; res <= opt.Tol {
-			sparse.Axpy(alpha, ph, x)
-			return Stats{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		m.Apply(sh, s)
-		a.MulVec(t, sh)
-		tt := sparse.Dot(t, t)
-		if tt == 0 {
-			return Stats{Iterations: it, Residual: sparse.Norm2(s) / normB},
-				errors.New("solver: BiCGSTAB breakdown (t=0)")
-		}
-		omega = sparse.Dot(t, s) / tt
-		for i := range x {
-			x[i] += alpha*ph[i] + omega*sh[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if res := sparse.Norm2(r) / normB; res <= opt.Tol {
-			return Stats{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		if omega == 0 {
-			return Stats{Iterations: it, Residual: sparse.Norm2(r) / normB},
-				errors.New("solver: BiCGSTAB breakdown (omega=0)")
-		}
-	}
-	return Stats{Iterations: opt.MaxIter, Residual: sparse.Norm2(r) / normB}, ErrMaxIterations
 }

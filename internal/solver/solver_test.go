@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"etherm/internal/sparse"
 )
@@ -151,38 +150,6 @@ func TestCGDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestBiCGSTABNonsymmetric(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 9))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.IntN(40)
-		b := sparse.NewBuilder(n, n)
-		for k := 0; k < 4*n; k++ {
-			i, j := rng.IntN(n), rng.IntN(n)
-			b.Add(i, j, rng.NormFloat64()*0.3)
-		}
-		for i := 0; i < n; i++ {
-			b.Add(i, i, float64(n)) // strong diagonal
-		}
-		a := b.ToCSR()
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		rhs := make([]float64, n)
-		a.MulVec(rhs, xTrue)
-		x := make([]float64, n)
-		stats, err := BiCGSTAB(a, rhs, x, NewJacobi(a), Options{Tol: 1e-12})
-		if err != nil {
-			t.Fatalf("trial %d: %v (%+v)", trial, err, stats)
-		}
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-6*(1+math.Abs(xTrue[i])) {
-				t.Fatalf("trial %d: x[%d] = %g want %g", trial, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
 func TestIC0ExactForDiagonal(t *testing.T) {
 	d := sparse.DiagCSR([]float64{4, 9, 16})
 	p, err := NewIC0(d)
@@ -284,87 +251,4 @@ func TestIC0RejectsIndefinite(t *testing.T) {
 	if _, err := NewIC0(b.ToCSR()); err == nil {
 		t.Error("expected IC0 failure on indefinite matrix")
 	}
-}
-
-// quadraticProblem implements NewtonProblem for F(x) = x² − a (componentwise).
-type quadraticProblem struct{ a []float64 }
-
-func (p *quadraticProblem) Residual(x, f []float64) error {
-	for i := range x {
-		f[i] = x[i]*x[i] - p.a[i]
-	}
-	return nil
-}
-
-func (p *quadraticProblem) Jacobian(x []float64) (*sparse.CSR, error) {
-	d := make([]float64, len(x))
-	for i := range x {
-		d[i] = 2 * x[i]
-	}
-	return sparse.DiagCSR(d), nil
-}
-
-func TestNewtonSquareRoot(t *testing.T) {
-	p := &quadraticProblem{a: []float64{4, 9, 2}}
-	x := []float64{1, 1, 1}
-	stats, err := Newton(p, x, NewtonOptions{Tol: 1e-12, UseCG: false})
-	if err != nil {
-		t.Fatalf("Newton: %v (%+v)", err, stats)
-	}
-	want := []float64{2, 3, math.Sqrt2}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-9 {
-			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
-		}
-	}
-	if stats.Iterations > 12 {
-		t.Errorf("Newton took %d iterations; expected quadratic convergence", stats.Iterations)
-	}
-}
-
-func TestNewtonPropertySquareRoots(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 99))
-		n := 1 + r.IntN(8)
-		a := make([]float64, n)
-		x := make([]float64, n)
-		for i := range a {
-			a[i] = 0.1 + 10*r.Float64()
-			x[i] = 1
-		}
-		p := &quadraticProblem{a: a}
-		if _, err := Newton(p, x, NewtonOptions{Tol: 1e-12}); err != nil {
-			return false
-		}
-		for i := range x {
-			if math.Abs(x[i]-math.Sqrt(a[i])) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNewtonStagnationReported(t *testing.T) {
-	// F(x) = 1 + x² has no real root; Newton must stop with an error rather
-	// than loop forever.
-	p := &noRootProblem{}
-	x := []float64{3}
-	if _, err := Newton(p, x, NewtonOptions{MaxIter: 30}); err == nil {
-		t.Error("expected failure on rootless problem")
-	}
-}
-
-type noRootProblem struct{}
-
-func (*noRootProblem) Residual(x, f []float64) error {
-	f[0] = 1 + x[0]*x[0]
-	return nil
-}
-
-func (*noRootProblem) Jacobian(x []float64) (*sparse.CSR, error) {
-	return sparse.DiagCSR([]float64{2 * x[0]}), nil
 }

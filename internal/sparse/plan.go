@@ -1,24 +1,19 @@
 package sparse
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // planBlockNNZ is the target number of stored entries per row block of a
-// Plan. 2048 entries keep a block's values (16 KiB as float64, 8 KiB as
-// float32) plus its int32 column indices (8 KiB) inside L1 together with the
-// gathered stretch of x, which is what makes the blocked kernels faster than
-// the plain CSR loop on the solver's L2-resident operators.
+// Plan. 2048 entries keep a block's values (16 KiB) plus its int32 column
+// indices (8 KiB) inside L1 together with the gathered stretch of x, which
+// is what makes the blocked kernels faster than the plain CSR loop on the
+// solver's L2-resident operators.
 const planBlockNNZ = 2048
 
 // Plan is the cache-blocked kernel layout of a CSR matrix: the same pattern
 // re-encoded with int32 row pointers and column indices and partitioned into
-// contiguous row blocks of roughly planBlockNNZ stored entries. The float64
-// values are shared with the owning CSR (pattern-stable reassembly writes
-// them in place and the plan sees the update for free); an optional float32
-// mirror serves the mixed-precision kernels and is refreshed explicitly with
-// SyncVal32.
+// contiguous row blocks of roughly planBlockNNZ stored entries. The values
+// are shared with the owning CSR (pattern-stable reassembly writes them in
+// place and the plan sees the update for free).
 //
 // Every kernel on the plan walks rows in ascending order and sums each row
 // left to right — the identical floating-point operation order as the
@@ -30,9 +25,6 @@ type Plan struct {
 	rowPtr []int32
 	colIdx []int32
 	blocks []int32 // row indices of block boundaries; blocks[0]=0, blocks[nb]=rows
-
-	val32     []float32 // float32 mirror of CSR.Val, allocated on first SyncVal32
-	val32Good bool
 }
 
 // Optimize builds (or returns) the blocked kernel plan of a. The plan is
@@ -88,26 +80,6 @@ func (a *CSR) Plan() *Plan {
 
 // NumBlocks returns the number of row blocks of the plan.
 func (p *Plan) NumBlocks() int { return len(p.blocks) - 1 }
-
-// SyncVal32 refreshes the float32 value mirror from the matrix values,
-// allocating it on first use. Callers invoke it once per solve (after
-// reassembly) before using the float32 kernels; the conversion is a single
-// linear pass, roughly half a matvec.
-func (p *Plan) SyncVal32(val []float64) {
-	if len(val) != p.nnz {
-		panic(fmt.Sprintf("sparse: SyncVal32 got %d values for a %d-entry plan", len(val), p.nnz))
-	}
-	if p.val32 == nil {
-		p.val32 = make([]float32, p.nnz)
-	}
-	for k, v := range val {
-		p.val32[k] = float32(v)
-	}
-	p.val32Good = true
-}
-
-// HasVal32 reports whether the float32 mirror has been populated.
-func (p *Plan) HasVal32() bool { return p.val32Good }
 
 // mulVecBlockRange computes dst[i] = Σ val[k] x[col[k]] for the rows of
 // blocks [b0, b1) in the canonical four-accumulator order of CSR.mulVecRows.
@@ -185,95 +157,6 @@ func (p *Plan) MulVecWorkers(val []float64, dst, x []float64, workers int) {
 		go func(b0, b1 int) {
 			defer wg.Done()
 			p.mulVecBlockRange(val, dst, x, b0, b1)
-		}(b0, b1)
-	}
-	wg.Wait()
-}
-
-// mulVec32BlockRange is the float32 analogue of mulVecBlockRange: float32
-// products in the canonical four-accumulator order. It requires a populated
-// value mirror.
-func (p *Plan) mulVec32BlockRange(dst, x []float32, b0, b1 int) {
-	val := p.val32
-	for b := b0; b < b1; b++ {
-		lo, hi := int(p.blocks[b]), int(p.blocks[b+1])
-		for i := lo; i < hi; i++ {
-			klo, khi := p.rowPtr[i], p.rowPtr[i+1]
-			var s0, s1, s2, s3 float32
-			k := klo
-			for ; k+4 <= khi; k += 4 {
-				s0 += val[k] * x[p.colIdx[k]]
-				s1 += val[k+1] * x[p.colIdx[k+1]]
-				s2 += val[k+2] * x[p.colIdx[k+2]]
-				s3 += val[k+3] * x[p.colIdx[k+3]]
-			}
-			for ; k < khi; k++ {
-				s0 += val[k] * x[p.colIdx[k]]
-			}
-			dst[i] = (s0 + s1) + (s2 + s3)
-		}
-	}
-}
-
-// MulVec32 computes dst = A x in float32 on the blocked layout.
-func (p *Plan) MulVec32(dst, x []float32) {
-	if !p.val32Good {
-		panic("sparse: MulVec32 before SyncVal32")
-	}
-	p.mulVec32BlockRange(dst, x, 0, p.NumBlocks())
-}
-
-// MulVecDot32 computes dst = A x in float32 and returns xᵀ dst accumulated
-// in float64 (float32 products, float64 sum — fixed order, deterministic).
-func (p *Plan) MulVecDot32(dst, x []float32) float64 {
-	if !p.val32Good {
-		panic("sparse: MulVecDot32 before SyncVal32")
-	}
-	val := p.val32
-	dot := 0.0
-	for b := 0; b < p.NumBlocks(); b++ {
-		lo, hi := int(p.blocks[b]), int(p.blocks[b+1])
-		for i := lo; i < hi; i++ {
-			klo, khi := p.rowPtr[i], p.rowPtr[i+1]
-			var s0, s1, s2, s3 float32
-			k := klo
-			for ; k+4 <= khi; k += 4 {
-				s0 += val[k] * x[p.colIdx[k]]
-				s1 += val[k+1] * x[p.colIdx[k+1]]
-				s2 += val[k+2] * x[p.colIdx[k+2]]
-				s3 += val[k+3] * x[p.colIdx[k+3]]
-			}
-			for ; k < khi; k++ {
-				s0 += val[k] * x[p.colIdx[k]]
-			}
-			s := (s0 + s1) + (s2 + s3)
-			dst[i] = s
-			dot += float64(x[i]) * float64(s)
-		}
-	}
-	return dot
-}
-
-// MulVec32Workers is the parallel float32 matvec over row blocks,
-// bit-identical to MulVec32 for every worker count.
-func (p *Plan) MulVec32Workers(dst, x []float32, workers int) {
-	if !p.val32Good {
-		panic("sparse: MulVec32Workers before SyncVal32")
-	}
-	nb := p.NumBlocks()
-	workers = ClampWorkers(workers, nb)
-	if workers <= 1 || p.nnz < ParallelMinNNZ {
-		p.mulVec32BlockRange(dst, x, 0, nb)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		b0 := nb * w / workers
-		b1 := nb * (w + 1) / workers
-		go func(b0, b1 int) {
-			defer wg.Done()
-			p.mulVec32BlockRange(dst, x, b0, b1)
 		}(b0, b1)
 	}
 	wg.Wait()

@@ -106,72 +106,3 @@ func TestOptimizeIdempotentAcrossRestamps(t *testing.T) {
 		}
 	}
 }
-
-// TestMulVec32MatchesFloat64 checks the f32 mirror: results track the f64
-// kernel within single-precision rounding, the fused dot accumulates in
-// f64, and SyncVal32 guards its length contract.
-func TestMulVec32MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(10, 10))
-	n := 800
-	a := randCSR(rng, n)
-	pl := a.Optimize()
-	if pl.HasVal32() {
-		t.Fatal("val32 reported good before any SyncVal32")
-	}
-	pl.SyncVal32(a.Val)
-	if !pl.HasVal32() {
-		t.Fatal("val32 not good after SyncVal32")
-	}
-
-	x := randVec(rng, n)
-	x32 := make([]float32, n)
-	for i := range x {
-		x32[i] = float32(x[i])
-	}
-	y64 := make([]float64, n)
-	a.MulVec(y64, x)
-	y32 := make([]float32, n)
-	pl.MulVec32(y32, x32)
-	// ~7 nnz per row: a loose per-row f32 bound of 1e-4 relative to the
-	// row's magnitude scale catches systematic kernel bugs without flaking
-	// on rounding.
-	scale := 0.0
-	for i := range y64 {
-		scale = math.Max(scale, math.Abs(y64[i]))
-	}
-	for i := range y64 {
-		if math.Abs(float64(y32[i])-y64[i]) > 1e-4*(1+scale) {
-			t.Fatalf("f32 y[%d]=%v too far from f64 %v", i, y32[i], y64[i])
-		}
-	}
-
-	d32 := make([]float32, n)
-	dot := pl.MulVecDot32(d32, x32)
-	wantDot := 0.0
-	for i := range d32 {
-		if d32[i] != y32[i] {
-			t.Fatalf("MulVecDot32 y[%d]=%v != MulVec32 %v", i, d32[i], y32[i])
-		}
-		wantDot += float64(x32[i]) * float64(y32[i])
-	}
-	if math.Abs(dot-wantDot) > 1e-6*(1+math.Abs(wantDot)) {
-		t.Fatalf("MulVecDot32=%v, want f64-accumulated %v", dot, wantDot)
-	}
-
-	for _, w := range []int{1, 2, 8} {
-		p32 := make([]float32, n)
-		pl.MulVec32Workers(p32, x32, w)
-		for i := range p32 {
-			if p32[i] != y32[i] {
-				t.Fatalf("workers=%d: f32 y[%d]=%v != serial %v", w, i, p32[i], y32[i])
-			}
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SyncVal32 accepted a mismatched value slice")
-		}
-	}()
-	pl.SyncVal32(a.Val[:len(a.Val)-1])
-}

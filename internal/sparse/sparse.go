@@ -158,8 +158,8 @@ func (a *CSR) MulVec(dst, x []float64) {
 // remainder into the first, combined as (s0+s1)+(s2+s3). The independent
 // accumulators hide the ~4-cycle add latency that a single left-to-right
 // chain pays per entry. Every matvec kernel in this package — serial,
-// row-blocked parallel, cache-blocked plan, float32 — sums rows in exactly
-// this order, which is what makes all the paths bit-identical.
+// row-blocked parallel, cache-blocked plan — sums rows in exactly this
+// order, which is what makes all the paths bit-identical.
 func (a *CSR) mulVecRows(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		klo, khi := a.RowPtr[i], a.RowPtr[i+1]
