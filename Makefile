@@ -34,7 +34,7 @@ BENCH_TOLERANCE ?= 0.25
 BENCH_TIME_TOLERANCE ?= 0
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench-test bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
+.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench-test cli-smoke bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
 
 all: build
 
@@ -80,6 +80,15 @@ test:
 # when the benchmark runs. CI's verify job runs it.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# cli-smoke runs the two command-line front doors end to end: the paper
+# artifact generator (Fig. 7 at M = 4, the Fig. 8 field and the nominal
+# all-wire history, ~7 s) and the bundled scenario suite (nominal, Monte
+# Carlo, Sobol' and Smolyak scenarios, ~30 s on 2 cores). CI's verify job
+# runs it.
+cli-smoke:
+	$(GO) run ./cmd/figures -samples 4 -out out/cli-smoke/figures
+	$(GO) run ./cmd/etbatch -bundled -out out/cli-smoke/etbatch.json
 
 # bench regenerates the paper's tables and figures (expensive).
 bench:

@@ -3,8 +3,9 @@
 // corresponds to one artifact of the evaluation section; the reported
 // metrics carry the headline numbers (temperatures in kelvin, σ in kelvin)
 // so `go test -bench=.` reproduces the rows the paper reports. The full
-// M = 1000 study is driven by cmd/mcstudy; the benches use reduced sample
-// counts and meshes to stay minutes-scale.
+// M = 1000 study is the Monte Carlo scenario of
+// examples/scenarios/date16_paper.json (run with cmd/etbatch); the benches
+// use reduced sample counts and meshes to stay minutes-scale.
 package etherm_test
 
 import (
@@ -96,8 +97,9 @@ func BenchmarkFig5ElongationFit(b *testing.B) {
 	b.ReportMetric(sigma, "sigma")
 }
 
-// BenchmarkFig7MonteCarlo runs a reduced Monte Carlo study (the paper's
-// M = 1000 run is cmd/mcstudy) and reports the Fig. 7 statistics.
+// BenchmarkFig7MonteCarlo runs a reduced Monte Carlo study through
+// study.RunPaperStudy (the paper's M = 1000 run is the date16_paper.json
+// scenario) and reports the Fig. 7 statistics.
 func BenchmarkFig7MonteCarlo(b *testing.B) {
 	spec := coarseSpec()
 	opt := core.FastOptions()
@@ -107,7 +109,7 @@ func BenchmarkFig7MonteCarlo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		f7, _, _, err = study.RunPaperStudy(spec, opt, 4, uint64(2016+i), 0)
+		f7, _, _, err = study.RunPaperStudy(spec, opt, 4, uint64(2016+i), 0, study.DefaultRho)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,11 +118,11 @@ func BenchmarkFig7MonteCarlo(b *testing.B) {
 	b.ReportMetric(f7.SigmaMC, "sigma_MC_K")
 }
 
-// BenchmarkCampaignStreaming runs the same reduced Monte Carlo study
-// through the streaming campaign path (constant-memory accumulators, no
-// per-sample storage) and reports the retained-heap delta alongside the
-// Fig. 7 statistics — the memory trajectory the campaign-memory gate in
-// internal/uq enforces at scale.
+// BenchmarkCampaignStreaming runs the same reduced Monte Carlo study on the
+// same driver (constant-memory accumulators, no per-sample storage) and
+// reports the retained-heap delta alongside the Fig. 7 statistics — the
+// memory trajectory the campaign-memory gate in internal/uq enforces at
+// scale.
 func BenchmarkCampaignStreaming(b *testing.B) {
 	spec := coarseSpec()
 	opt := core.FastOptions()
@@ -138,8 +140,7 @@ func BenchmarkCampaignStreaming(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		f7, camp, _, err = study.RunStreamingStudy(spec, opt, uint64(2016+i), study.DefaultRho,
-			study.StreamOptions{Samples: 4})
+		f7, _, camp, err = study.RunPaperStudy(spec, opt, 4, uint64(2016+i), 0, study.DefaultRho)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -467,7 +468,7 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 		b.Run(map[float64]string{0: "rho0-independent", study.DefaultRho: "rho0.3-process", 1: "rho1-common"}[rho], func(b *testing.B) {
 			var sig float64
 			for i := 0; i < b.N; i++ {
-				f7, _, _, err := study.RunStudy(spec, opt, 8, 7, 0, rho)
+				f7, _, _, err := study.RunPaperStudy(spec, opt, 8, 7, 0, rho)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,13 @@
 //	fig6_mesh.txt/.vtk    chip model and hexahedral mesh (Fig. 6)
 //	fig7_series.csv/.txt  E_max(t) ± 6σ vs T_crit from Monte Carlo (Fig. 7)
 //	fig8_field.vtk/.csv/.txt  temperature field at t = 50 s (Fig. 8)
+//	fig8_wires.csv        nominal run: every wire's temperature history
 //	summary.txt           paper-vs-measured summary for EXPERIMENTS.md
 //
-// Usage: figures [-out out] [-samples 1000] [-workers 0] [-preset date16-calibrated] [-hmax 0]
+// Usage: figures [-out out] [-samples 200] [-workers 0] [-preset date16-calibrated] [-seed 2016]
+//
+// Scenario studies beyond these artifacts (other chips, samplers, streaming
+// and sharded campaigns) run through cmd/etbatch scenario files.
 package main
 
 import (
@@ -267,7 +271,7 @@ func fig6(outDir string, spec chipmodel.Spec, summary *strings.Builder) (*chipmo
 
 func fig7(outDir string, spec chipmodel.Spec, samples int, seed uint64, workers int, summary *strings.Builder) error {
 	opt := core.FastOptions()
-	f7, lay, ens, err := study.RunPaperStudy(spec, opt, samples, seed, workers)
+	f7, lay, camp, err := study.RunPaperStudy(spec, opt, samples, seed, workers, study.DefaultRho)
 	if err != nil {
 		return err
 	}
@@ -278,7 +282,7 @@ func fig7(outDir string, spec chipmodel.Spec, samples int, seed uint64, workers 
 		errs[i] = 6 * f7.SigmaHot[i]
 	}
 	p := asciiplot.LinePlot{
-		Title:  fmt.Sprintf("Fig. 7: E[T_hot](t) ±6 sigma, M=%d (%s)", ens.Succeeded(), ens.SamplerName),
+		Title:  fmt.Sprintf("Fig. 7: E[T_hot](t) ±6 sigma, M=%d (%s)", camp.Succeeded(), camp.SamplerName),
 		XLabel: "time (s)", YLabel: "temperature (K)",
 		Series: []asciiplot.Series{{Name: "hottest wire ±6 sigma", X: f7.Times, Y: hot, Err: errs, Marker: '*'}},
 		HLines: map[string]float64{"T_critical 523 K": f7.TCritical},
@@ -290,7 +294,7 @@ func fig7(outDir string, spec chipmodel.Spec, samples int, seed uint64, workers 
 		"6-sigma band crosses T_crit at %s (paper: t ~ 26 s)\n"+
 		"hottest wire: %d on %s side (shortest wires, cf. Fig. 8 discussion)\n"+
 		"stationary by 50 s: %v (paper: stationary after ~50 s)\n",
-		ens.Succeeded(), f7.EMax[last], f7.SigmaMC, f7.ErrorMC,
+		camp.Succeeded(), f7.EMax[last], f7.SigmaMC, f7.ErrorMC,
 		crossStr(f7.Cross6Sig), f7.HotWire, lay.Wires[f7.HotWire].Side, f7.Stationary(2.0))
 	if err := os.WriteFile(filepath.Join(outDir, "fig7_ascii.txt"), []byte(p.Render()+"\n"+stat), 0o644); err != nil {
 		return err
@@ -302,7 +306,7 @@ func fig7(outDir string, spec chipmodel.Spec, samples int, seed uint64, workers 
 		return err
 	}
 	fmt.Fprintf(summary, "Fig. 7  E_max(50s)=%.2f K, sigma_MC=%.3f K, error_MC=%.3f K, 6-sigma crossing %s (M=%d)\n",
-		f7.EMax[last], f7.SigmaMC, f7.ErrorMC, crossStr(f7.Cross6Sig), ens.Succeeded())
+		f7.EMax[last], f7.SigmaMC, f7.ErrorMC, crossStr(f7.Cross6Sig), camp.Succeeded())
 	return nil
 }
 
@@ -361,6 +365,9 @@ func fig8(outDir string, lay *chipmodel.Layout, summary *strings.Builder) error 
 		vtkio.Field{Name: "potential", Values: res.FinalPhi}); err != nil {
 		return err
 	}
+	if err := writeWiresCSV(filepath.Join(outDir, "fig8_wires.csv"), res); err != nil {
+		return err
+	}
 	// Slice at the bond-plane (chip top).
 	k := nearestLineIndex(g.Zs, lay.Chip.Z1)
 	fs, err := os.Create(filepath.Join(outDir, "fig8_slice.csv"))
@@ -392,6 +399,39 @@ func fig8(outDir string, lay *chipmodel.Layout, summary *strings.Builder) error 
 	fmt.Fprintf(summary, "Fig. 8  nominal field at 50 s: T_max,wire=%.2f K, hottest wire %d (north), energy balance closed to %.2g\n",
 		res.MaxWireTempAt(last), res.HottestWire(), res.Stats.MaxEnergyImbalance)
 	return nil
+}
+
+// writeWiresCSV writes the nominal run's per-time-point history: hottest
+// wire, total and boundary power, and every wire's temperature.
+func writeWiresCSV(path string, res *core.Result) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer fh.Close()
+	w := csv.NewWriter(fh)
+	header := []string{"time_s", "T_max_K", "P_total_W", "P_boundary_W"}
+	for j := range res.WireTemp[0] {
+		header = append(header, fmt.Sprintf("T_w%02d_K", j))
+	}
+	w.Write(header)
+	for t := range res.Times {
+		row := []string{
+			fmt.Sprintf("%g", res.Times[t]),
+			fmt.Sprintf("%.4f", res.MaxWireTempAt(t)),
+			fmt.Sprintf("%.6g", res.FieldPower[t]+res.WirePowerTotal[t]),
+			fmt.Sprintf("%.6g", res.BoundaryLoss[t]),
+		}
+		for _, v := range res.WireTemp[t] {
+			row = append(row, fmt.Sprintf("%.4f", v))
+		}
+		w.Write(row)
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		return err
+	}
+	return fh.Close()
 }
 
 func nearestLineIndex(line []float64, v float64) int {

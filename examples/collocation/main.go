@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -110,7 +111,15 @@ func main() {
 		report(fmt.Sprintf("sobol-qmc M=%d", m), m, e.Mean(0), e.StdDev(0))
 	}
 	for _, lvl := range []int{1, 2} {
-		sc, err := uq.SmolyakCollocation(factory, dists, lvl)
+		des, err := uq.SmolyakDesign(dists, lvl)
+		if err != nil {
+			log.Fatal(err)
+		}
+		outs, err := des.Eval(context.Background(), factory)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sc, err := des.Moments(outs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,16 +14,33 @@ import (
 	"etherm/internal/core"
 	"etherm/internal/degrade"
 	"etherm/internal/study"
+	"etherm/internal/uq"
 )
 
 func main() {
 	const samples = 12
-	spec := chipmodel.DATE16Calibrated()
-	fig7, lay, ens, err := study.RunPaperStudy(spec, core.FastOptions(), samples, 99, 0)
+	lay, err := chipmodel.DATE16Calibrated().Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = lay
+	sim, err := core.NewSimulator(lay.Problem, core.FastOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Store every sample (not just moments): the empirical exceedances
+	// below need the hottest wire's per-sample end temperatures.
+	nWires := len(lay.Wires)
+	p := study.Params{Rho: study.DefaultRho}
+	ens, err := uq.RunEnsemble(study.ParamFactory(sim, p), study.GermDists(nWires, p.Rho),
+		uq.PseudoRandom{D: study.GermDim(nWires, p.Rho), Seed: 99}, uq.EnsembleOptions{Samples: samples})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fig7, err := study.BuildFig7FromMoments(study.Times(sim.Options()), ens.MeanAll(), ens.StdAll(),
+		nWires, degrade.DefaultCriticalTemp, ens.Succeeded())
+	if err != nil {
+		log.Fatal(err)
+	}
 	last := len(fig7.Times) - 1
 
 	fmt.Printf("ensemble: M = %d, E_max(50 s) = %.2f K, sigma = %.2f K\n\n",
@@ -33,7 +50,7 @@ func main() {
 	for _, tcrit := range []float64{510.0, degrade.DefaultCriticalTemp, 535} {
 		pNorm := degrade.ExceedanceProbability(fig7.HotSeries()[last], fig7.SigmaMC, tcrit)
 		// Empirical from the stored samples of the hottest wire's final temp.
-		col := last*len(lay.Wires) + fig7.HotWire
+		col := last*nWires + fig7.HotWire
 		pEmp := degrade.EmpiricalExceedance(ens.OutputSeries(col), tcrit)
 		fmt.Printf("P(T_hot(50 s) >= %3.0f K): normal approx %.3g, empirical %.3g\n", tcrit, pNorm, pEmp)
 	}

@@ -16,16 +16,16 @@ import (
 )
 
 func main() {
-	const samples = 16 // the paper uses 1000; see cmd/mcstudy for the full run
+	const samples = 16 // the paper uses 1000; examples/scenarios/date16_paper.json runs it
 	spec := chipmodel.DATE16Calibrated()
-	fig7, lay, ens, err := study.RunPaperStudy(spec, core.FastOptions(), samples, 2016, 0)
+	fig7, lay, camp, err := study.RunPaperStudy(spec, core.FastOptions(), samples, 2016, 0, study.DefaultRho)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("chip: %d pads, %d wires, mean L = %.3g mm, V_pair = %.0f mV\n",
 		len(lay.Pads), len(lay.Wires), lay.MeanLength()*1e3, lay.PairVoltage()*1e3)
-	fmt.Printf("Monte Carlo: M = %d (%s sampling)\n\n", ens.Succeeded(), ens.SamplerName)
+	fmt.Printf("Monte Carlo: M = %d (%s sampling)\n\n", camp.Succeeded(), camp.SamplerName)
 
 	fmt.Println("  t (s)   E[T_hot] (K)   6*sigma (K)")
 	for i := 0; i < len(fig7.Times); i += 10 {

@@ -1,164 +1,40 @@
 package config
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"etherm/internal/core"
 )
 
-func TestDefaultMatchesTableII(t *testing.T) {
-	cfg := Default()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sim.EndTimeS != 50 || cfg.Sim.NumSteps != 50 {
-		t.Error("time discretization differs from Table II")
-	}
-	if cfg.UQ.Samples != 1000 || cfg.UQ.MeanDelta != 0.17 || cfg.UQ.StdDelta != 0.048 {
-		t.Error("UQ defaults differ from the paper")
-	}
-	if cfg.UQ.CriticalK != 523 {
-		t.Error("critical temperature differs from the paper")
-	}
-}
-
-func TestLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.json")
-	if err := WriteExample(path); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg != Default() {
-		t.Error("round trip changed the configuration")
-	}
-}
-
-func TestLoadRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	os.WriteFile(path, []byte(`{"chip":{"preset":"date16"},"sim":{"end_time_s":1,"num_steps":1},"uq":{"method":"monte-carlo","samples":1,"typo":true}}`), 0o644)
-	if _, err := Load(path); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
-	bad := Default()
-	bad.Chip.Preset = "nope"
-	if err := bad.Validate(); err == nil {
-		t.Error("bad preset accepted")
+	if err := (SimConfig{EndTimeS: 50, NumSteps: 50}).Validate(); err != nil {
+		t.Fatalf("Table II horizon rejected: %v", err)
 	}
-	bad = Default()
-	bad.Sim.Integrator = "rk4"
-	if err := bad.Validate(); err == nil {
-		t.Error("bad integrator accepted")
-	}
-	bad = Default()
-	bad.UQ.Samples = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero samples accepted")
-	}
-	bad = Default()
-	bad.UQ.TargetSE = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative target_se accepted")
-	}
-	bad = Default()
-	bad.UQ.Method = "smolyak"
-	bad.UQ.Stream = true
-	if err := bad.Validate(); err == nil {
-		t.Error("streaming smolyak accepted")
-	}
-}
-
-func TestStreamingKnobs(t *testing.T) {
-	u := UQConfig{Samples: 100}
-	if u.Streaming() {
-		t.Error("plain config reported streaming")
-	}
-	if u.Budget() != 100 {
-		t.Errorf("budget %d", u.Budget())
-	}
-	u.MaxSamples = 5000
-	if !u.Streaming() || u.Budget() != 5000 {
-		t.Errorf("max_samples did not switch to streaming budget: %v %d", u.Streaming(), u.Budget())
-	}
-	for _, v := range []UQConfig{{Stream: true}, {TargetSE: 0.1}, {TargetCI: 0.01}, {Checkpoint: "x.ckpt"}} {
-		if !v.Streaming() {
-			t.Errorf("%+v not recognized as streaming", v)
+	for name, bad := range map[string]SimConfig{
+		"zero end time":      {NumSteps: 50},
+		"zero steps":         {EndTimeS: 50},
+		"unknown integrator": {EndTimeS: 50, NumSteps: 50, Integrator: "rk4"},
+		"unknown coupling":   {EndTimeS: 50, NumSteps: 50, Coupling: "loose"},
+		"unknown nonlinear":  {EndTimeS: 50, NumSteps: 50, Nonlinear: "anderson"},
+		"unknown joule":      {EndTimeS: 50, NumSteps: 50, Joule: "node"},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", name, bad)
 		}
 	}
-	// Streaming budget satisfies validation even with samples unset.
-	cfg := Default()
-	cfg.UQ.Samples = 0
-	cfg.UQ.MaxSamples = 1000
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("streaming budget rejected: %v", err)
-	}
 }
 
-func TestShardingKnobs(t *testing.T) {
-	u := UQConfig{Samples: 100, Shards: 4}
-	if !u.Sharded() || !u.Streaming() {
-		t.Error("shards must imply the streaming sharded path")
-	}
-	if (UQConfig{Samples: 100}).Sharded() {
-		t.Error("unsharded config reported sharded")
-	}
-	cfg := Default()
-	cfg.UQ.Shards = 4
-	cfg.UQ.ShardBlock = 128
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("sharded config rejected: %v", err)
-	}
-	bad := Default()
-	bad.UQ.Shards = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	adaptive := Default()
-	adaptive.UQ.Shards = 2
-	adaptive.UQ.TargetSE = 0.1
-	if err := adaptive.Validate(); err == nil {
-		t.Error("sharded config with adaptive target accepted")
-	}
-	smolyak := Default()
-	smolyak.UQ.Method = "smolyak"
-	smolyak.UQ.Shards = 2
-	if err := smolyak.Validate(); err == nil {
-		t.Error("sharded smolyak accepted")
-	}
-}
-
-func TestSpecAndOptionsMaterialization(t *testing.T) {
-	cfg := Default()
-	cfg.Chip.Preset = "date16"
-	cfg.Chip.WireSegments = 4
-	cfg.Sim.Coupling = "weak"
-	cfg.Sim.Integrator = "bdf2"
-	spec, err := cfg.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.WireSegments != 4 {
-		t.Error("wire segments override lost")
-	}
-	if spec.DriveV != 0.020 {
-		t.Error("faithful preset drive wrong")
-	}
-	opt := cfg.Options(false)
+func TestCoreOptionsMaterialization(t *testing.T) {
+	s := SimConfig{EndTimeS: 50, NumSteps: 25, Coupling: "weak", Integrator: "bdf2"}
+	opt := s.CoreOptions(false)
 	if opt.Coupling != core.WeakCoupling || opt.TimeIntegrator != core.BDF2 {
-		t.Error("options materialization wrong")
+		t.Error("coupling/integrator materialization wrong")
+	}
+	if opt.EndTime != 50 || opt.NumSteps != 25 {
+		t.Errorf("horizon lost: %g s over %d steps", opt.EndTime, opt.NumSteps)
 	}
 	// Ensemble options start from the fast profile.
-	optE := cfg.Options(true)
-	if optE.Nonlinear != core.NewtonLinearized {
+	if optE := (SimConfig{EndTimeS: 50, NumSteps: 25}).CoreOptions(true); optE.Nonlinear != core.NewtonLinearized {
 		t.Error("ensemble options should start from FastOptions")
 	}
 }

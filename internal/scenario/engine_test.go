@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"etherm/internal/config"
 	"etherm/internal/core"
+	"etherm/internal/study"
+	"etherm/internal/uq"
 )
 
 func fastTestOptions() core.Options {
@@ -295,14 +298,50 @@ func TestEngineSmolyakScenario(t *testing.T) {
 	if !s.OK {
 		t.Fatalf("collocation scenario failed: %s", s.Error)
 	}
-	if s.Evaluations < 2 {
-		t.Errorf("suspicious evaluation count %d", s.Evaluations)
+	des, err := uq.SmolyakDesign(study.GermDists(s.NumWires, one), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Evaluations != len(des.Points) {
+		t.Errorf("evaluations %d, want the design's %d nodes", s.Evaluations, len(des.Points))
 	}
 	if s.TEndMaxK < 350 || s.TEndMaxK > 650 {
 		t.Errorf("collocation mean end temperature %g K implausible", s.TEndMaxK)
 	}
 	if s.SigmaK <= 0 {
 		t.Errorf("collocation sigma %g, want positive", s.SigmaK)
+	}
+}
+
+// TestEngineSmolyakHonoursCancel: a collocation scenario whose context is
+// canceled as it starts fails with the context error before any FEM
+// evaluation, instead of running its whole sparse grid.
+func TestEngineSmolyakHonoursCancel(t *testing.T) {
+	rho := 0.3
+	b := &Batch{Scenarios: []Scenario{{
+		Name: "colloc",
+		Chip: ChipSpec{HMaxM: testHMax},
+		Sim:  fastSim,
+		UQ:   UQSpec{Method: MethodSmolyak, Level: 1, Rho: &rho},
+	}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := NewEngine()
+	e.OnEvent = func(ev Event) {
+		if ev.Phase == PhaseStart {
+			cancel()
+		}
+	}
+	res, err := e.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Scenarios[0]
+	if s.OK || !strings.Contains(s.Error, context.Canceled.Error()) {
+		t.Errorf("canceled collocation scenario: ok=%v error=%q", s.OK, s.Error)
+	}
+	if s.Evaluations != 0 {
+		t.Errorf("canceled collocation scenario reports %d evaluations", s.Evaluations)
 	}
 }
 

@@ -69,8 +69,8 @@ type ScenarioResult struct {
 	Cross6SigS *float64 `json:"cross_6sigma_s,omitempty"`
 	ExceedProb float64  `json:"exceed_prob"`
 	// FailProbEmp is the empirical failure probability P(any wire ≥ T_crit
-	// at any time) from streaming campaigns (absent on the stored path,
-	// whose post-processing is moment-based).
+	// at any time) from streaming campaigns (absent on non-streaming
+	// scenarios, whose v1 result carries moments only).
 	FailProbEmp *float64 `json:"fail_prob_emp,omitempty"`
 	// TObsMaxK is the hottest single observation across all samples, wires
 	// and times (streaming campaigns only).
@@ -150,7 +150,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		return res, nil
 	}
 
-	times := scenarioTimes(s)
+	times := study.Times(opt)
 	nTimes := len(times)
 	nWires := len(inst.Problem.Wires)
 
@@ -177,7 +177,15 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 
 	case MethodSmolyak:
 		factory, dists := studyInputs(sim, s.UQ)
-		col, err := uq.SmolyakCollocation(factory, dists, s.UQ.Level)
+		des, err := uq.SmolyakDesign(dists, s.UQ.Level)
+		if err != nil {
+			return nil, err
+		}
+		outs, err := des.Eval(ctx, factory)
+		if err != nil {
+			return nil, err
+		}
+		col, err := des.Moments(outs)
 		if err != nil {
 			return nil, err
 		}
@@ -192,81 +200,41 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		res.Evaluations = col.Evaluations
 
 	default: // sampling methods
-		factory, dists := studyInputs(sim, s.UQ)
-		// The sampler is built lazily per branch: the fleet-delegate path
-		// re-derives it worker-side, and eagerly materializing e.g. a full
-		// LHS design here would be pure waste on that path.
-		mkSampler := func() (uq.Sampler, error) { return newSampler(method, len(dists), s.UQ) }
-		budget := s.UQ.Budget()
-		var done atomic.Int64
-		onSample := func(_ int, sampleErr error) {
-			e.emit(Event{
-				Index: i, Scenario: s.Name, Phase: PhaseSample,
-				Done: int(done.Add(1)), Total: budget, Err: sampleErr,
-			})
-		}
 		var camp *uq.CampaignResult
-		switch {
-		case s.UQ.Sharded() && e.Sharder != nil:
+		if s.UQ.Sharded() && e.Sharder != nil {
 			// The fleet path: the delegate distributes the shards to
 			// workers, which derive the sampler and model themselves.
 			// Per-sample progress events do not fire here — the pull
 			// protocol has no per-sample stream; shard-level progress
 			// lives on the coordinator's job view.
-			camp, err = e.Sharder.RunSharded(ctx, s)
-		case s.UQ.Sharded():
-			// Local sharded path, bit-identical to the fleet path by
-			// construction (see uq.MergeShards).
-			var sampler uq.Sampler
-			var plan *uq.ShardPlan
-			if sampler, err = mkSampler(); err == nil {
-				if plan, err = s.ShardPlan(); err == nil {
-					camp, err = uq.RunShardedCampaign(ctx, factory, dists, sampler, plan,
-						s.shardOptions(sampleWorkers, onSample))
-				}
+			if camp, err = e.Sharder.RunSharded(ctx, s); err != nil {
+				return nil, err
 			}
-		case s.UQ.Streaming():
-			copt := uq.CampaignOptions{
-				MaxSamples: budget, Workers: sampleWorkers, OnSample: onSample,
-				TargetSE: s.UQ.TargetSE, TargetCI: s.UQ.TargetCI, Threshold: tCrit,
-				CheckpointPath: s.UQ.Checkpoint, CheckpointEvery: s.UQ.CheckpointEvery,
-				Tag: s.campaignTag(),
+			if f7, err = study.BuildFig7FromCampaign(times, camp, nWires, tCrit); err != nil {
+				return nil, err
 			}
-			if s.UQ.Checkpoint != "" {
-				var cp *uq.Checkpoint
-				cp, err = uq.LoadCheckpointIfExists(s.UQ.Checkpoint)
-				if err != nil {
-					return nil, err
-				}
-				copt.Resume = cp
+		} else {
+			// Every local campaign — sharded, streaming or not — runs the
+			// one study driver; only the streaming knobs decide what the
+			// result reports about it.
+			p := s.UQ.studyParams()
+			sampler, err := newSampler(method, study.GermDim(nWires, p.Rho), s.UQ)
+			if err != nil {
+				return nil, err
 			}
-			var sampler uq.Sampler
-			if sampler, err = mkSampler(); err == nil {
-				camp, err = uq.RunCampaign(ctx, factory, dists, sampler, copt)
-			}
-		default:
-			var sampler uq.Sampler
-			if sampler, err = mkSampler(); err == nil {
-				camp, err = uq.RunCampaign(ctx, factory, dists, sampler, uq.CampaignOptions{
-					MaxSamples: budget, Workers: sampleWorkers, OnSample: onSample,
-					StoreSamples: true,
+			var done atomic.Int64
+			onSample := func(_ int, sampleErr error) {
+				e.emit(Event{
+					Index: i, Scenario: s.Name, Phase: PhaseSample,
+					Done: int(done.Add(1)), Total: s.UQ.Budget(), Err: sampleErr,
 				})
 			}
-		}
-		if err != nil {
-			return nil, err
+			if f7, camp, err = study.RunStreamingStudyWith(ctx, sim, p, sampler, s.streamOptions(sampleWorkers, onSample)); err != nil {
+				return nil, err
+			}
 		}
 		if s.UQ.Streaming() {
-			f7, err = study.BuildFig7FromCampaign(times, camp, nWires, tCrit)
-			if err != nil {
-				return nil, err
-			}
 			applyCampaign(res, camp, s.UQ.Shards)
-		} else {
-			f7, err = study.BuildFig7(times, camp.Ensemble, nWires, tCrit)
-			if err != nil {
-				return nil, err
-			}
 		}
 		res.Samples = camp.Succeeded()
 		res.Failures = camp.Failures
@@ -374,8 +342,8 @@ func applyCampaign(res *ScenarioResult, camp *uq.CampaignResult, shards int) {
 }
 
 // fillFromFig7 fills the hottest-wire summary, failure diagnostics and
-// plotting series shared by every evaluation path (deterministic, stored,
-// streamed and sharded) and marks the result successful.
+// plotting series shared by every evaluation path (deterministic,
+// collocation, sampled and sharded) and marks the result successful.
 func fillFromFig7(res *ScenarioResult, inst *Instance, f7 *study.Fig7, tCrit float64) {
 	res.OK = true
 	res.HotWire = f7.HotWire
@@ -433,10 +401,15 @@ func (s Scenario) campaignTag() string {
 	return fmt.Sprintf("scenario:%016x", h.Sum64())
 }
 
+// studyParams returns the elongation law a study samples.
+func (u UQSpec) studyParams() study.Params {
+	return study.Params{Mu: u.MeanDelta, Sigma: u.StdDelta, Rho: u.EffectiveRho()}
+}
+
 // studyInputs builds the parallel model factory and germ distributions for a
 // UQ study on the instantiated simulator.
 func studyInputs(sim *core.Simulator, u UQSpec) (uq.ModelFactory, []uq.Dist) {
-	p := study.Params{Mu: u.MeanDelta, Sigma: u.StdDelta, Rho: u.EffectiveRho()}
+	p := u.studyParams()
 	return study.ParamFactory(sim, p), study.GermDists(len(sim.Wires()), p.Rho)
 }
 

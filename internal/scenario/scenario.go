@@ -201,8 +201,8 @@ type UQSpec struct {
 	// independent wires, is a meaningful choice distinct from "unset".)
 	Rho *float64 `json:"rho,omitempty"`
 	// MeanDelta and StdDelta override the paper's fitted elongation law
-	// (δ ~ N(0.17, 0.048²)). Zero means "the paper's value", mirroring
-	// config.UQConfig — an exactly-zero law is not expressible; note that
+	// (δ ~ N(0.17, 0.048²)). Zero means "the paper's value", as in
+	// study.Params — an exactly-zero law is not expressible; note that
 	// the nominal geometry of deterministic scenarios is set by
 	// ChipSpec.MeanElongation instead.
 	MeanDelta float64 `json:"mean_delta,omitempty"`
@@ -210,10 +210,11 @@ type UQSpec struct {
 	// CriticalK overrides the failure threshold (default 523 K).
 	CriticalK float64 `json:"critical_k,omitempty"`
 
-	// Stream selects the constant-memory streaming campaign for sampling
-	// methods: outputs fold into O(NumOutputs) accumulators as samples
-	// complete instead of being stored per sample. It is implied by any of
-	// the knobs below. Results are bit-identical to the stored path.
+	// Stream selects the streaming campaign for sampling methods, which
+	// adds the campaign accounting (streamed, stop_reason, fail_prob_emp,
+	// t_obs_max_k) to the result. It is implied by any of the knobs below.
+	// Every sampling scenario folds outputs into O(NumOutputs) accumulators
+	// as samples complete, so the moments are the same bits either way.
 	Stream bool `json:"stream,omitempty"`
 	// MaxSamples is the streaming sample budget (0 = Samples). Adaptive
 	// rules may stop before it; it never runs past it.

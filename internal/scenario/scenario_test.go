@@ -35,7 +35,7 @@ func TestChipSpecValidate(t *testing.T) {
 
 func TestChipSpecMaterialize(t *testing.T) {
 	c := ChipSpec{
-		Preset: "date16", DriveScale: 0.5, WireMaterial: "gold",
+		Preset: "date16", DriveScale: 0.5, WireMaterial: "gold", WireSegments: 4,
 		MeanElongation: 0.25, AmbientK: 358, Emissivity: ptr(0),
 	}
 	spec, err := c.Materialize()
@@ -48,6 +48,9 @@ func TestChipSpecMaterialize(t *testing.T) {
 	}
 	if spec.WireMat == nil || spec.WireMat.Name() != "gold" {
 		t.Error("wire material not applied")
+	}
+	if spec.WireSegments != 4 {
+		t.Error("wire segments override lost")
 	}
 	if spec.MeanElong != 0.25 || spec.TAmbient != 358 {
 		t.Error("elongation/ambient overrides not applied")
@@ -221,5 +224,73 @@ func TestScenarioSolverKnobs(t *testing.T) {
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid preconditioner should fail scenario validation")
+	}
+}
+
+// TestPaperScenarioFile checks the committed paper study: the scenario file
+// parses, its nominal run is deterministic, and its Monte Carlo study
+// resolves to Table II — 50 s over 50 steps, δ ~ N(0.17, 0.048²),
+// T_crit = 523 K, ρ = 0.3, M = 1000 with seed 2016.
+func TestPaperScenarioFile(t *testing.T) {
+	b, err := LoadBatch("../../examples/scenarios/date16_paper.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Scenarios) != 2 {
+		t.Fatalf("%d scenarios, want the nominal run and the Monte Carlo study", len(b.Scenarios))
+	}
+	if m := b.Scenarios[0].UQ.EffectiveMethod(); m != MethodNone {
+		t.Errorf("nominal scenario runs method %q", m)
+	}
+	mc := b.Scenarios[1].withSimDefaults()
+	if mc.Sim.EndTimeS != 50 || mc.Sim.NumSteps != 50 {
+		t.Errorf("horizon %g s over %d steps, want 50 s over 50", mc.Sim.EndTimeS, mc.Sim.NumSteps)
+	}
+	law := mc.UQ.studyParams().Effective()
+	if law.Mu != 0.17 || law.Sigma != 0.048 || law.Rho != 0.3 {
+		t.Errorf("elongation law %+v, want N(0.17, 0.048), rho 0.3", law)
+	}
+	if mc.criticalK() != 523 {
+		t.Errorf("T_crit %g, want 523 K", mc.criticalK())
+	}
+	if u := mc.UQ; u.EffectiveMethod() != MethodMonteCarlo || u.Budget() != 1000 || u.Seed != 2016 || u.Streaming() {
+		t.Errorf("study %+v, want non-streaming monte-carlo, M = 1000, seed 2016", u)
+	}
+	spec, err := mc.Chip.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.DriveV != chipmodel.DATE16Calibrated().DriveV {
+		t.Errorf("drive %g V, want the calibrated preset", spec.DriveV)
+	}
+}
+
+// TestStreamingKnobs: any streaming knob selects the streaming campaign,
+// max_samples is its budget, and validation accepts that budget alone.
+func TestStreamingKnobs(t *testing.T) {
+	u := UQSpec{Method: MethodMonteCarlo, Samples: 100}
+	if u.Streaming() || u.Budget() != 100 {
+		t.Errorf("plain spec: streaming %v, budget %d", u.Streaming(), u.Budget())
+	}
+	u.MaxSamples = 5000
+	if !u.Streaming() || u.Budget() != 5000 {
+		t.Errorf("max_samples did not switch to the streaming budget: %v %d", u.Streaming(), u.Budget())
+	}
+	for _, v := range []UQSpec{{Stream: true}, {TargetSE: 0.1}, {TargetCI: 0.01}, {Checkpoint: "x.ckpt"}, {Shards: 1}} {
+		if !v.Streaming() {
+			t.Errorf("%+v not recognized as streaming", v)
+		}
+	}
+	if err := (UQSpec{Method: MethodMonteCarlo, MaxSamples: 1000}).Validate(); err != nil {
+		t.Errorf("streaming budget rejected: %v", err)
+	}
+	for name, bad := range map[string]UQSpec{
+		"negative target_se": {Method: MethodMonteCarlo, Samples: 10, TargetSE: -1},
+		"streaming smolyak":  {Method: MethodSmolyak, Level: 1, Stream: true},
+		"streaming none":     {Stream: true},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -69,19 +69,24 @@ func (s Scenario) criticalK() float64 {
 	return degrade.DefaultCriticalTemp
 }
 
-// shardOptions assembles the uq.ShardOptions of a scenario: the campaign
-// tag guards checkpoints and merges against configuration drift, and the
-// scenario's checkpoint path (when set) becomes the per-shard
-// "<path>.shard-N" base with auto-resume, matching the unsharded engine
-// semantics.
-func (s Scenario) shardOptions(workers int, onSample func(int, error)) uq.ShardOptions {
-	return uq.ShardOptions{
+// streamOptions assembles the study.StreamOptions of a local sampling
+// scenario: the budget, adaptive targets and shard plan of the uq block,
+// the campaign tag that guards checkpoints and merges against
+// configuration drift, and auto-resume whenever a checkpoint path is set
+// (sharded campaigns read "<path>.shard-N" files).
+func (s Scenario) streamOptions(workers int, onSample func(int, error)) study.StreamOptions {
+	return study.StreamOptions{
+		Samples:         s.UQ.Budget(),
 		Workers:         workers,
-		Threshold:       s.criticalK(),
-		Tag:             s.campaignTag(),
-		CheckpointPath:  s.UQ.Checkpoint,
+		TargetSE:        s.UQ.TargetSE,
+		TargetCI:        s.UQ.TargetCI,
+		Checkpoint:      s.UQ.Checkpoint,
 		CheckpointEvery: s.UQ.CheckpointEvery,
 		Resume:          s.UQ.Checkpoint != "",
+		Tag:             s.campaignTag(),
+		TCrit:           s.criticalK(),
+		Shards:          s.UQ.Shards,
+		ShardBlock:      s.UQ.ShardBlock,
 		OnSample:        onSample,
 	}
 }
@@ -103,7 +108,9 @@ func RunShard(ctx context.Context, cache *AssemblyCache, s Scenario, shard, work
 	if err != nil {
 		return nil, err
 	}
-	return uq.RunShard(ctx, factory, dists, sampler, plan, shard, s.shardOptions(workers, nil))
+	// The shard options come from streamOptions exactly as the engine's
+	// local sharded path derives them, so both produce the same shard state.
+	return uq.RunShard(ctx, factory, dists, sampler, plan, shard, s.streamOptions(workers, nil).ShardOptions())
 }
 
 // FinalizeShards merges completed shard results of a sharded scenario and
@@ -142,7 +149,7 @@ func FinalizeShards(cache *AssemblyCache, s Scenario, results []*uq.ShardResult)
 		NumWires:  len(inst.Problem.Wires),
 	}
 	tCrit := s.criticalK()
-	f7, err := study.BuildFig7FromCampaign(scenarioTimes(s), camp, len(inst.Problem.Wires), tCrit)
+	f7, err := study.BuildFig7FromCampaign(study.Times(s.Sim.CoreOptions(true)), camp, len(inst.Problem.Wires), tCrit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -152,15 +159,4 @@ func FinalizeShards(cache *AssemblyCache, s Scenario, results []*uq.ShardResult)
 	applyCampaign(res, camp, s.UQ.Shards)
 	fillFromFig7(res, inst, f7, tCrit)
 	return res, camp, nil
-}
-
-// scenarioTimes returns the recorded time grid of a scenario whose Sim
-// defaults have been applied.
-func scenarioTimes(s Scenario) []float64 {
-	o := s.Sim.CoreOptions(true)
-	times := make([]float64, o.NumSteps+1)
-	for t := range times {
-		times[t] = o.EndTime * float64(t) / float64(o.NumSteps)
-	}
-	return times
 }

@@ -75,7 +75,7 @@ func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	factory, dists := studyInputs(sim, s.UQ)
-	law := study.Params{Mu: s.UQ.MeanDelta, Sigma: s.UQ.StdDelta, Rho: s.UQ.EffectiveRho()}.Effective()
+	law := s.UQ.studyParams().Effective()
 	cfg := surrogate.Config{
 		ID:          SurrogateID(s, level, order),
 		GeometryKey: GeometryKey(spec),
@@ -83,7 +83,7 @@ func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level
 		Level:       level,
 		Order:       order,
 		NWires:      len(sim.Wires()),
-		Times:       scenarioTimes(s),
+		Times:       study.Times(sim.Options()),
 		Mu:          law.Mu,
 		Sigma:       law.Sigma,
 		Rho:         law.Rho,

@@ -12,26 +12,40 @@ import (
 )
 
 // TestStreamingMatchesStoredOnChipModel is the acceptance gate for the
-// streaming campaign: on the paper's chip model, the streaming path's mean
-// and σ for the hottest wire match the stored-ensemble path within 1e-9 at
-// every worker count (they are in fact bit-identical, since both fold the
-// same Welford recurrence in sample order).
+// streaming campaign: on the paper's chip model, the streaming study's mean
+// and σ for the hottest wire match a stored ensemble of the same samples
+// within 1e-9 at every worker count (they are in fact bit-identical, since
+// both fold the same Welford recurrence in sample order).
 func TestStreamingMatchesStoredOnChipModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled-field ensemble is seconds-scale")
 	}
 	const m, seed = 4, 11
-	f7Stored, _, ens, err := RunStudy(coarse(), fastOpt(), m, seed, 2, DefaultRho)
+	lay, err := coarse().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulator(lay.Problem, fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Rho: DefaultRho}
+	ens, err := uq.RunEnsemble(ParamFactory(sim, p), GermDists(12, DefaultRho),
+		uq.PseudoRandom{D: GermDim(12, DefaultRho), Seed: seed}, uq.EnsembleOptions{Samples: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ens.Succeeded() != m {
 		t.Fatalf("stored path: %d samples succeeded", ens.Succeeded())
 	}
+	f7Stored, err := BuildFig7FromMoments(Times(sim.Options()), ens.MeanAll(), ens.StdAll(), 12,
+		degrade.DefaultCriticalTemp, ens.Succeeded())
+	if err != nil {
+		t.Fatal(err)
+	}
 	last := len(f7Stored.Times) - 1
 	for _, workers := range []int{1, 2, 8} {
-		f7, camp, _, err := RunStreamingStudy(coarse(), fastOpt(), seed, DefaultRho,
-			StreamOptions{Samples: m, Workers: workers})
+		f7, _, camp, err := RunPaperStudy(coarse(), fastOpt(), m, seed, workers, DefaultRho)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +75,8 @@ func TestStreamingMatchesStoredOnChipModel(t *testing.T) {
 		if math.IsNaN(f7.FailProbEmp) {
 			t.Error("streaming study did not track the empirical failure probability")
 		}
-		if math.IsNaN(f7Stored.FailProbEmp) == false {
-			t.Error("stored study unexpectedly reports an empirical failure probability")
+		if !math.IsNaN(f7Stored.FailProbEmp) {
+			t.Error("moment-based study unexpectedly reports an empirical failure probability")
 		}
 	}
 }

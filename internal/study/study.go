@@ -161,8 +161,8 @@ func (m *WireTempModel) Eval(params, out []float64) error {
 // factory hands out: the mean and standard deviation of the relative
 // elongation δ and the wire-to-wire process correlation ρ. Zero-valued Mu
 // and Sigma select the paper's fitted 0.17 and 0.048 (an exactly-zero law
-// is not expressible, by the same zero-means-default convention as
-// config.UQConfig); ρ = 0 is meaningful and kept as given.
+// is not expressible, by the same zero-means-default convention as the
+// scenario uq block); ρ = 0 is meaningful and kept as given.
 type Params struct {
 	Mu    float64 // elongation mean; zero means the paper's 0.17
 	Sigma float64 // elongation std; zero means the paper's 0.048
@@ -185,22 +185,10 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Factory returns a uq.ModelFactory producing independent clones of the
-// base simulator for parallel workers (sharing the immutable mesh assembly),
-// with the default process correlation.
-func Factory(base *core.Simulator) uq.ModelFactory {
-	return FactoryFor(base, DefaultRho)
-}
-
-// FactoryFor is Factory with an explicit wire-to-wire elongation correlation.
-func FactoryFor(base *core.Simulator, rho float64) uq.ModelFactory {
-	return ParamFactory(base, Params{Rho: rho})
-}
-
-// ParamFactory is Factory with the full elongation law spelled out. The first
-// model handed out wraps base itself; later calls wrap clones sharing the
-// immutable mesh assembly, so every worker model carries identical Mu, Sigma
-// and Rho.
+// ParamFactory returns a uq.ModelFactory producing one model per parallel
+// worker under the elongation law p. The first model handed out wraps base
+// itself; later calls wrap clones sharing the immutable mesh assembly, so
+// every worker model carries identical Mu, Sigma and Rho.
 func ParamFactory(base *core.Simulator, p Params) uq.ModelFactory {
 	p = p.withDefaults()
 	var mu sync.Mutex
@@ -250,21 +238,12 @@ type Fig7 struct {
 	Samples     int
 }
 
-// BuildFig7 aggregates an ensemble (outputs laid out by WireTempModel) into
-// the Fig. 7 statistics.
-func BuildFig7(times []float64, ens *uq.Ensemble, nWires int, tCrit float64) (*Fig7, error) {
-	if ens.NumOutputs != len(times)*nWires {
-		return nil, fmt.Errorf("study: ensemble has %d outputs, expected %d×%d", ens.NumOutputs, len(times), nWires)
-	}
-	return BuildFig7FromMoments(times, ens.MeanAll(), ens.StdAll(), nWires, tCrit, ens.Succeeded())
-}
-
 // BuildFig7FromMoments aggregates per-output means and standard deviations
 // (laid out time-major like WireTempModel outputs) into the Fig. 7
 // statistics. This is the moment-based core shared by the Monte Carlo path
-// (BuildFig7) and collocation/PCE studies, whose results arrive as moments
-// rather than sample sets. samples is only used for the eq. (6) error
-// estimate and may be zero for deterministic quadratures.
+// (BuildFig7FromCampaign) and collocation/PCE studies, whose results arrive
+// as moments rather than sample sets. samples is only used for the eq. (6)
+// error estimate and may be zero for deterministic quadratures.
 func BuildFig7FromMoments(times, means, stds []float64, nWires int, tCrit float64, samples int) (*Fig7, error) {
 	nTimes := len(times)
 	if len(means) != nTimes*nWires || len(stds) != nTimes*nWires {
@@ -409,22 +388,52 @@ type StreamOptions struct {
 	OnSample func(i int, err error)
 }
 
-// RunStreamingStudyWith runs the streaming Monte Carlo study on an existing
-// base simulator with an explicit elongation law and sampler: the campaign
-// folds wire-temperature outputs into O(NumOutputs) accumulators as samples
-// complete, so the sample budget no longer bounds memory. Results are
-// bit-identical to the stored-ensemble path for any worker count. On
-// cancellation the partial campaign is returned together with the context
-// error (a checkpoint, when configured, has been written).
-func RunStreamingStudyWith(ctx context.Context, base *core.Simulator, p Params, sampler uq.Sampler, o StreamOptions) (*Fig7, *uq.CampaignResult, error) {
-	tCrit := o.TCrit
-	if tCrit == 0 {
-		tCrit = degrade.DefaultCriticalTemp
+// ShardOptions returns the uq.ShardOptions every shard of a sharded study
+// runs with. The local sharded path and fleet workers both derive theirs
+// here, so shards from either merge into the same bits.
+func (o StreamOptions) ShardOptions() uq.ShardOptions {
+	return uq.ShardOptions{
+		Workers:         o.Workers,
+		Threshold:       o.tCrit(),
+		Tag:             o.Tag,
+		CheckpointPath:  o.Checkpoint,
+		CheckpointEvery: o.CheckpointEvery,
+		Resume:          o.Resume,
+		OnSample:        o.OnSample,
 	}
-	model := NewWireTempModel(base)
-	pd := p.withDefaults()
-	model.Mu, model.Sigma, model.Rho = pd.Mu, pd.Sigma, pd.Rho
+}
 
+// tCrit resolves the failure threshold, defaulting a zero TCrit.
+func (o StreamOptions) tCrit() float64 {
+	if o.TCrit == 0 {
+		return degrade.DefaultCriticalTemp
+	}
+	return o.TCrit
+}
+
+// Times returns the recorded time grid of a transient run under o: the
+// NumSteps+1 points EndTime·i/NumSteps, the times_s every study result
+// reports.
+func Times(o core.Options) []float64 {
+	times := make([]float64, o.NumSteps+1)
+	for i := range times {
+		times[i] = o.EndTime * float64(i) / float64(o.NumSteps)
+	}
+	return times
+}
+
+// RunStreamingStudyWith runs the Monte Carlo study on an existing base
+// simulator with an explicit elongation law and sampler — the one chip-study
+// driver behind scenarios, figures and examples. The campaign folds
+// wire-temperature outputs into O(NumOutputs) accumulators as samples
+// complete, so the sample budget does not bound memory. The moments are
+// bit-identical to a stored ensemble for any worker count, and a sharded
+// campaign's for any shard count.
+// On cancellation the partial campaign is returned together with the
+// context error (a checkpoint, when configured, has been written).
+func RunStreamingStudyWith(ctx context.Context, base *core.Simulator, p Params, sampler uq.Sampler, o StreamOptions) (*Fig7, *uq.CampaignResult, error) {
+	factory := ParamFactory(base, p)
+	dists := GermDists(len(base.Wires()), p.Rho)
 	var camp *uq.CampaignResult
 	var err error
 	if o.Shards >= 1 {
@@ -435,22 +444,14 @@ func RunStreamingStudyWith(ctx context.Context, base *core.Simulator, p Params, 
 		if perr != nil {
 			return nil, nil, perr
 		}
-		camp, err = uq.RunShardedCampaign(ctx, ParamFactory(base, p), model.InputDists(), sampler, plan, uq.ShardOptions{
-			Workers:         o.Workers,
-			Threshold:       tCrit,
-			Tag:             o.Tag,
-			CheckpointPath:  o.Checkpoint,
-			CheckpointEvery: o.CheckpointEvery,
-			Resume:          o.Resume,
-			OnSample:        o.OnSample,
-		})
+		camp, err = uq.RunShardedCampaign(ctx, factory, dists, sampler, plan, o.ShardOptions())
 	} else {
 		copt := uq.CampaignOptions{
 			MaxSamples:      o.Samples,
 			Workers:         o.Workers,
 			TargetSE:        o.TargetSE,
 			TargetCI:        o.TargetCI,
-			Threshold:       tCrit,
+			Threshold:       o.tCrit(),
 			CheckpointPath:  o.Checkpoint,
 			CheckpointEvery: o.CheckpointEvery,
 			Tag:             o.Tag,
@@ -463,57 +464,23 @@ func RunStreamingStudyWith(ctx context.Context, base *core.Simulator, p Params, 
 			}
 			copt.Resume = cp
 		}
-		camp, err = uq.RunCampaign(ctx, ParamFactory(base, p), model.InputDists(), sampler, copt)
+		camp, err = uq.RunCampaign(ctx, factory, dists, sampler, copt)
 	}
 	if err != nil {
 		return nil, camp, err
 	}
-	eff := base.Options()
-	times := make([]float64, eff.NumSteps+1)
-	dt := eff.EndTime / float64(eff.NumSteps)
-	for i := range times {
-		times[i] = float64(i) * dt
-	}
-	f7, err := BuildFig7FromCampaign(times, camp, model.NumWires(), tCrit)
+	f7, err := BuildFig7FromCampaign(Times(base.Options()), camp, len(base.Wires()), o.tCrit())
 	if err != nil {
 		return nil, camp, err
 	}
 	return f7, camp, nil
 }
 
-// RunStreamingStudy is the one-call streaming counterpart of RunStudy:
-// build the layout, run the campaign under the fitted elongation law with
-// pseudo-random sampling, and aggregate Fig. 7.
-func RunStreamingStudy(spec chipmodel.Spec, opt core.Options, seed uint64, rho float64, o StreamOptions) (*Fig7, *uq.CampaignResult, *chipmodel.Layout, error) {
-	lay, err := spec.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	base, err := core.NewSimulator(lay.Problem, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	model := NewWireTempModel(base)
-	model.Rho = rho
-	sampler := uq.PseudoRandom{D: model.Dim(), Seed: seed}
-	f7, camp, err := RunStreamingStudyWith(context.Background(), base, Params{Rho: rho}, sampler, o)
-	if err != nil {
-		return nil, camp, lay, err
-	}
-	return f7, camp, lay, nil
-}
-
 // RunPaperStudy is the one-call reproduction of the paper's Monte Carlo
-// experiment: build the layout, run M samples of the coupled model under
-// the fitted elongation law with the default process correlation, and
-// aggregate Fig. 7.
-func RunPaperStudy(spec chipmodel.Spec, opt core.Options, m int, seed uint64, workers int) (*Fig7, *chipmodel.Layout, *uq.Ensemble, error) {
-	return RunStudy(spec, opt, m, seed, workers, DefaultRho)
-}
-
-// RunStudy runs the Monte Carlo study with the chosen wire-to-wire
-// elongation correlation ρ.
-func RunStudy(spec chipmodel.Spec, opt core.Options, m int, seed uint64, workers int, rho float64) (*Fig7, *chipmodel.Layout, *uq.Ensemble, error) {
+// experiment: build the layout, run m pseudo-random samples of the coupled
+// model under the fitted elongation law with wire-to-wire correlation rho
+// (DefaultRho is the paper's), and aggregate Fig. 7.
+func RunPaperStudy(spec chipmodel.Spec, opt core.Options, m int, seed uint64, workers int, rho float64) (*Fig7, *chipmodel.Layout, *uq.CampaignResult, error) {
 	lay, err := spec.Build()
 	if err != nil {
 		return nil, nil, nil, err
@@ -522,23 +489,11 @@ func RunStudy(spec chipmodel.Spec, opt core.Options, m int, seed uint64, workers
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	model := NewWireTempModel(base)
-	model.Rho = rho
-	dists := model.InputDists()
-	sampler := uq.PseudoRandom{D: model.Dim(), Seed: seed}
-	ens, err := uq.RunEnsemble(FactoryFor(base, rho), dists, sampler, uq.EnsembleOptions{Samples: m, Workers: workers})
+	sampler := uq.PseudoRandom{D: GermDim(len(base.Wires()), rho), Seed: seed}
+	f7, camp, err := RunStreamingStudyWith(context.Background(), base, Params{Rho: rho}, sampler,
+		StreamOptions{Samples: m, Workers: workers})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eff := base.Options() // defaults applied
-	times := make([]float64, eff.NumSteps+1)
-	dt := eff.EndTime / float64(eff.NumSteps)
-	for i := range times {
-		times[i] = float64(i) * dt
-	}
-	fig7, err := BuildFig7(times, ens, model.NumWires(), degrade.DefaultCriticalTemp)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return fig7, lay, ens, nil
+	return f7, lay, camp, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"etherm/internal/chipmodel"
 	"etherm/internal/core"
-	"etherm/internal/uq"
 )
 
 // coarse returns a fast chip spec for tests.
@@ -114,12 +113,12 @@ func TestSmallEnsembleAndFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled-field ensemble is seconds-scale")
 	}
-	f7, lay, ens, err := RunStudy(coarse(), fastOpt(), 4, 11, 2, DefaultRho)
+	f7, lay, camp, err := RunPaperStudy(coarse(), fastOpt(), 4, 11, 2, DefaultRho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ens.Succeeded() != 4 {
-		t.Fatalf("%d samples succeeded", ens.Succeeded())
+	if camp.Succeeded() != 4 {
+		t.Fatalf("%d samples succeeded", camp.Succeeded())
 	}
 	last := len(f7.Times) - 1
 	if f7.EMax[last] < 400 || f7.EMax[last] > 560 {
@@ -149,7 +148,7 @@ func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("coupled-field ensemble is seconds-scale")
 	}
 	run := func(workers int) float64 {
-		f7, _, _, err := RunStudy(coarse(), fastOpt(), 3, 5, workers, DefaultRho)
+		f7, _, _, err := RunPaperStudy(coarse(), fastOpt(), 3, 5, workers, DefaultRho)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +160,23 @@ func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestBuildFig7LayoutValidation(t *testing.T) {
-	ens := &uq.Ensemble{NumOutputs: 5}
-	if _, err := BuildFig7([]float64{0, 1}, ens, 12, 523); err == nil {
-		t.Error("mismatched ensemble accepted")
+	short := make([]float64, 5)
+	if _, err := BuildFig7FromMoments([]float64{0, 1}, short, short, 12, 523, 0); err == nil {
+		t.Error("mismatched moment layout accepted")
+	}
+}
+
+// TestTimesGrid pins the one recorded time grid: NumSteps+1 points
+// EndTime·i/NumSteps, ending exactly at EndTime.
+func TestTimesGrid(t *testing.T) {
+	o := core.Options{EndTime: 50, NumSteps: 3}
+	got := Times(o)
+	if len(got) != 4 || got[0] != 0 || got[3] != 50 {
+		t.Fatalf("Times = %v", got)
+	}
+	for i, v := range got {
+		if want := o.EndTime * float64(i) / float64(o.NumSteps); v != want {
+			t.Errorf("t[%d] = %v, want %v", i, v, want)
+		}
 	}
 }

@@ -16,18 +16,6 @@ import (
 	"etherm/internal/stats"
 )
 
-// Accumulator consumes sample results in strict sample-index order. The
-// campaign driver guarantees Accumulate is called from a single goroutine
-// with strictly increasing indices (failed samples are skipped), so
-// implementations need no locking and fold-order accumulators (quantile
-// sketches) stay deterministic for any worker count.
-type Accumulator interface {
-	// Accumulate folds one successful sample: its index, transformed input
-	// parameters and output vector. The slices are only valid during the
-	// call; implementations must copy what they keep.
-	Accumulate(i int, params, out []float64)
-}
-
 // Campaign stop reasons.
 const (
 	// StopBudget means the sample budget MaxSamples was exhausted.
@@ -153,8 +141,7 @@ type Checkpoint struct {
 	// SamplerFP fingerprints the sampler's actual point stream (a hash of
 	// the first fingerprintPoints points), catching identity changes a name
 	// cannot — a different Monte Carlo seed, QMC shift or scramble, or an
-	// LHS design size. Legacy checkpoints carry a single-point hash, still
-	// accepted with a warning.
+	// LHS design size.
 	SamplerFP uint64 `json:"sampler_fp,omitempty"`
 	// Tag echoes CampaignOptions.Tag.
 	Tag      string             `json:"tag,omitempty"`
@@ -164,9 +151,9 @@ type Checkpoint struct {
 }
 
 // fingerprintPoints is how many leading points samplerFingerprint hashes.
-// One point (the legacy scheme) cannot tell apart streams that agree at
-// index 0 and diverge after — e.g. two randomized-QMC replicate counts over
-// the same base scramble; eight catches every such divergence we ship.
+// One point cannot tell apart streams that agree at index 0 and diverge
+// after — e.g. two randomized-QMC replicate counts over the same base
+// scramble; eight catches every such divergence we ship.
 const fingerprintPoints = 8
 
 // samplerFingerprint hashes the first fingerprintPoints sampler points
@@ -182,12 +169,8 @@ func samplerFingerprint(s Sampler) uint64 {
 	return fingerprintFirst(s, n)
 }
 
-// legacySamplerFingerprint reproduces the pre-v2 point-0-only hash so old
-// checkpoints remain resumable.
-func legacySamplerFingerprint(s Sampler) uint64 {
-	return fingerprintFirst(s, 1)
-}
-
+// fingerprintFirst hashes the first n sampler points (FNV-1a over the raw
+// float64 bits).
 func fingerprintFirst(s Sampler, n int) uint64 {
 	u := make([]float64, s.Dim())
 	const (
@@ -206,21 +189,16 @@ func fingerprintFirst(s Sampler, n int) uint64 {
 		}
 	}
 	if h == 0 {
-		h = 1 // keep 0 free as "not fingerprinted" (legacy checkpoints)
+		h = 1 // keep 0 free as "not fingerprinted"
 	}
 	return h
 }
 
 // checkSamplerFP validates a checkpointed fingerprint against the current
-// sampler. A zero stored value (never fingerprinted) passes; the legacy
-// single-point hash passes with a one-line warning; anything else is a
-// stream mismatch.
+// sampler. A zero stored value (never fingerprinted) passes; anything else
+// must match the current stream exactly.
 func checkSamplerFP(stored uint64, s Sampler) error {
 	if stored == 0 || stored == samplerFingerprint(s) {
-		return nil
-	}
-	if stored == legacySamplerFingerprint(s) {
-		fmt.Fprintf(os.Stderr, "uq: accepting legacy single-point sampler fingerprint for %s; checkpoint will be upgraded on next save\n", s.Name())
 		return nil
 	}
 	return fmt.Errorf("uq: checkpoint was written by a different %s sample stream (changed seed, shift, scramble or design size)", s.Name())

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -309,6 +310,53 @@ func TestCampaignResumeValidation(t *testing.T) {
 	}
 	if done.Evaluated != 100 || done.StopReason != StopBudget {
 		t.Errorf("already-complete resume: %+v", done)
+	}
+}
+
+// TestResumeRejectsOnePointFingerprint: a checkpoint carrying the
+// single-point sampler hash (the pre-8-point scheme) gets the ordinary
+// stream-mismatch error on both resume paths, campaign and shard.
+func TestResumeRejectsOnePointFingerprint(t *testing.T) {
+	dists := normDists(2)
+	s := PseudoRandom{D: 2, Seed: 6}
+	onePoint := fingerprintFirst(s, 1)
+	if onePoint == samplerFingerprint(s) {
+		t.Fatal("one-point and 8-point fingerprints coincide")
+	}
+	const want = "different monte-carlo sample stream"
+
+	camp, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 4}), dists, s,
+		CampaignOptions{MaxSamples: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := camp.Checkpoint()
+	cp.SamplerFP = onePoint
+	if _, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 4}), dists, s,
+		CampaignOptions{MaxSamples: 200, Resume: cp}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("campaign resume: want error containing %q, got %v", want, err)
+	}
+
+	plan, err := PlanShards(64, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "c.ckpt")
+	opt := ShardOptions{Workers: 1, Tag: "t", CheckpointPath: base, Resume: true}
+	if _, err := RunShard(context.Background(), SingleFactory(&vecModel{nOut: 2}), dists, s, plan, 0, opt); err != nil {
+		t.Fatal(err)
+	}
+	path := ShardCheckpointPath(base, 0)
+	scp, err := LoadShardCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scp.SamplerFP = onePoint
+	if err := scp.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunShard(context.Background(), SingleFactory(&vecModel{nOut: 2}), dists, s, plan, 0, opt); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("shard resume: want error containing %q, got %v", want, err)
 	}
 }
 

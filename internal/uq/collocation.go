@@ -33,7 +33,7 @@ func TensorCollocation(factory ModelFactory, dists []Dist, n int) (*CollocationR
 	for j := 0; j < d; j++ {
 		total *= n
 		if total > 2_000_000 {
-			return nil, fmt.Errorf("uq: tensor grid of %d^%d points is too large; use SmolyakCollocation", n, d)
+			return nil, fmt.Errorf("uq: tensor grid of %d^%d points is too large; use SmolyakDesign", n, d)
 		}
 	}
 	m, err := factory()
@@ -89,154 +89,4 @@ func TensorCollocation(factory ModelFactory, dists []Dist, n int) (*CollocationR
 		res.Variance[k] = second[k] - mean[k]*mean[k]
 	}
 	return res, nil
-}
-
-// SmolyakCollocation computes E[f] and Var[f] on a Smolyak sparse grid of
-// the given level (level ≥ 0; level 0 is the single-point rule). The
-// combination technique over non-nested Gauss rules is used:
-//
-//	A(q,d) = Σ_{q−d+1 ≤ |i| ≤ q} (−1)^{q−|i|} C(d−1, q−|i|) ⊗_j U^{i_j}
-//
-// with q = d + level and the 1D rule U^i using i points. The cost grows
-// polynomially in d — for d = 12, level 2 needs a few hundred evaluations
-// versus 1000 for the paper's Monte Carlo study.
-func SmolyakCollocation(factory ModelFactory, dists []Dist, level int) (*CollocationResult, error) {
-	d := len(dists)
-	if d == 0 {
-		return nil, fmt.Errorf("uq: no dimensions")
-	}
-	if level < 0 {
-		return nil, fmt.Errorf("uq: negative Smolyak level %d", level)
-	}
-	m, err := factory()
-	if err != nil {
-		return nil, err
-	}
-	nOut := m.NumOutputs()
-	q := d + level
-
-	// Cache 1D rules per (dimension, points).
-	type ruleKey struct{ j, n int }
-	rules := map[ruleKey]struct {
-		params  []float64
-		weights []float64
-	}{}
-	getRule := func(j, n int) ([]float64, []float64, error) {
-		k := ruleKey{j, n}
-		if r, ok := rules[k]; ok {
-			return r.params, r.weights, nil
-		}
-		r, params, err := RuleFor(dists[j], n)
-		if err != nil {
-			return nil, nil, err
-		}
-		rules[k] = struct {
-			params  []float64
-			weights []float64
-		}{params, r.Weights}
-		return params, r.Weights, nil
-	}
-
-	mean := make([]float64, nOut)
-	second := make([]float64, nOut)
-	evals := 0
-
-	// Enumerate multi-indices i ≥ 1 with q−d+1 ≤ |i| ≤ q.
-	multi := make([]int, d)
-	var walk func(j, remMin, remMax int) error
-	var evalTensor func(coeff float64) error
-
-	evalTensor = func(coeff float64) error {
-		idx := make([]int, d)
-		params := make([]float64, d)
-		out := make([]float64, nOut)
-		for {
-			w := coeff
-			for j := 0; j < d; j++ {
-				p, ws, err := getRule(j, multi[j])
-				if err != nil {
-					return err
-				}
-				params[j] = p[idx[j]]
-				w *= ws[idx[j]]
-			}
-			if err := safeEval(m, params, out); err != nil {
-				return fmt.Errorf("uq: Smolyak evaluation failed: %w", err)
-			}
-			evals++
-			for k, v := range out {
-				mean[k] += w * v
-				second[k] += w * v * v
-			}
-			j := 0
-			for ; j < d; j++ {
-				idx[j]++
-				if idx[j] < multi[j] {
-					break
-				}
-				idx[j] = 0
-			}
-			if j == d {
-				return nil
-			}
-		}
-	}
-
-	walk = func(j, remMin, remMax int) error {
-		if j == d-1 {
-			lo := remMin
-			if lo < 1 {
-				lo = 1
-			}
-			for v := lo; v <= remMax; v++ {
-				multi[j] = v
-				total := 0
-				for _, x := range multi {
-					total += x
-				}
-				diff := q - total
-				coeff := float64(sign(diff)) * binom(d-1, diff)
-				if coeff != 0 {
-					if err := evalTensor(coeff); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for v := 1; v <= remMax-(d-1-j); v++ {
-			multi[j] = v
-			if err := walk(j+1, remMin-v, remMax-v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0, q-d+1, q); err != nil {
-		return nil, err
-	}
-
-	res := &CollocationResult{Mean: mean, Variance: make([]float64, nOut), Evaluations: evals}
-	for k := range second {
-		res.Variance[k] = second[k] - mean[k]*mean[k]
-	}
-	return res, nil
-}
-
-func sign(k int) int {
-	if k%2 == 0 {
-		return 1
-	}
-	return -1
-}
-
-func binom(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	r := 1.0
-	for i := 1; i <= k; i++ {
-		r = r * float64(n-k+i) / float64(i)
-	}
-	return r
 }

@@ -9,12 +9,11 @@ import (
 
 // Design is the explicit node set of a sparse-grid collocation rule: the
 // distinct evaluation points of the Smolyak combination technique with
-// their aggregated (possibly negative) quadrature weights. Where
-// SmolyakCollocation fuses enumeration and evaluation into one pass,
-// Design separates them so the same model evaluations can feed both the
-// quadrature moments and a regression fit (PCE surrogate construction),
-// and so points shared between tensor terms — or between the designs of
-// two adjacent levels — are evaluated once.
+// their aggregated (possibly negative) quadrature weights. Enumeration and
+// evaluation are separate steps, so the same model evaluations can feed
+// both the quadrature moments and a regression fit (PCE surrogate
+// construction), and points shared between tensor terms — or between the
+// designs of two adjacent levels — are evaluated once.
 type Design struct {
 	Points  [][]float64 // distinct nodes in parameter space, first-seen order
 	Weights []float64   // combined combination-technique weight per node
@@ -30,13 +29,18 @@ func pointKey(p []float64) string {
 	return string(b)
 }
 
-// SmolyakDesign enumerates the Smolyak sparse grid of the given level over
-// the given distributions: the same combination technique as
-// SmolyakCollocation (q = d + level, terms q−d+1 ≤ |i| ≤ q with coefficient
-// (−1)^{q−|i|} C(d−1, q−|i|)), but returning the distinct nodes with
-// summed weights instead of integrating a model. Enumeration order is
-// deterministic, so the design — and everything fitted on it — is
-// reproducible bit for bit.
+// SmolyakDesign enumerates the Smolyak sparse grid of the given level
+// (level ≥ 0; level 0 is the single-point rule) over the given
+// distributions with the combination technique over non-nested Gauss rules:
+//
+//	A(q,d) = Σ_{q−d+1 ≤ |i| ≤ q} (−1)^{q−|i|} C(d−1, q−|i|) ⊗_j U^{i_j}
+//
+// with q = d + level and the 1D rule U^i using i points. It returns the
+// distinct nodes with summed weights; Eval and Moments then integrate a
+// model on them. The cost grows polynomially in d — for d = 12, level 2
+// needs a few hundred evaluations versus 1000 for the paper's Monte Carlo
+// study. Enumeration order is deterministic, so the design — and
+// everything fitted on it — is reproducible bit for bit.
 func SmolyakDesign(dists []Dist, level int) (*Design, error) {
 	d := len(dists)
 	if d == 0 {
@@ -166,8 +170,7 @@ func (des *Design) Eval(ctx context.Context, factory ModelFactory) ([][]float64,
 }
 
 // Moments integrates the given per-point outputs against the design
-// weights, yielding the same sparse-grid mean/variance SmolyakCollocation
-// computes in its fused pass.
+// weights, yielding the sparse-grid mean and variance of every output.
 func (des *Design) Moments(outputs [][]float64) (*CollocationResult, error) {
 	if len(outputs) != len(des.Points) {
 		return nil, fmt.Errorf("uq: %d output rows for a %d-point design", len(outputs), len(des.Points))
@@ -205,4 +208,22 @@ func (des *Design) Bound() float64 {
 		}
 	}
 	return b
+}
+
+func sign(k int) int {
+	if k%2 == 0 {
+		return 1
+	}
+	return -1
+}
+
+func binom(n, k int) float64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	r := 1.0
+	for i := 1; i <= k; i++ {
+		r = r * float64(n-k+i) / float64(i)
+	}
+	return r
 }

@@ -1,6 +1,7 @@
 package uq
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -393,7 +394,15 @@ func TestSmolyakMatchesTensorOnSmoothModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smol, err := SmolyakCollocation(SingleFactory(model), dists, 2)
+	des, err := SmolyakDesign(dists, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := des.Eval(context.Background(), SingleFactory(model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smol, err := des.Moments(outs)
 	if err != nil {
 		t.Fatal(err)
 	}
