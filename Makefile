@@ -102,14 +102,16 @@ bench-json:
 		-benchtime $(BENCH_TIME) -timeout 60m \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# bench-smoke is the CI variant: single iteration, JSON written to
-# BENCH_SMOKE_OUT (uploaded as a CI artifact) — it proves the benchmarks and
-# the JSON pipeline stay alive and preserves the per-commit trajectory.
+# bench-smoke is the CI variant: JSON written to BENCH_SMOKE_OUT (uploaded
+# as a CI artifact) — it proves the benchmarks and the JSON pipeline stay
+# alive and preserves the per-commit trajectory. It runs at BENCH_TIME, the
+# run length bench-json wrote the committed baseline at, so bench-gate
+# compares like with like.
 BENCH_SMOKE_OUT ?= out/bench_smoke.json
 bench-smoke:
 	@mkdir -p $(dir $(BENCH_SMOKE_OUT))
 	$(GO) test $(BENCH_PKGS) -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-		-benchtime 1x -timeout 30m \
+		-benchtime $(BENCH_TIME) -timeout 30m \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_SMOKE_OUT)
 
 # bench-gate fails when tracked ns/op, allocs/op, retained_B or solves

@@ -314,8 +314,8 @@ func BenchmarkAblationTimeIntegrator(b *testing.B) {
 
 // BenchmarkAblationPreconditioner compares CG preconditioners on the
 // assembled thermal step matrix of the chip: each iteration builds the
-// factor and solves from a cold start. mic0 (NewMIC0 at ω = 1) is the top
-// tier of strict runs, ict the top tier of FastOptions ensembles.
+// factor and solves from a cold start. mic0 (NewMIC0 at ω = 1) is the
+// thermal factor of strict runs, ict that of FastOptions ensembles.
 func BenchmarkAblationPreconditioner(b *testing.B) {
 	lay, err := coarseSpec().Build()
 	if err != nil {

@@ -467,8 +467,5 @@ func (l *Layout) MeanLength() float64 {
 	return s / float64(len(l.Problem.Wires))
 }
 
-// NumWired returns the number of wired pads (= wires).
-func (l *Layout) NumWired() int { return len(l.Wires) }
-
 // PairVoltage returns the voltage across each wire pair, 2·DriveV.
 func (l *Layout) PairVoltage() float64 { return 2 * l.Spec.DriveV }

@@ -20,23 +20,26 @@ type SimConfig struct {
 
 	// Performance knobs (see core.Options for the full semantics).
 	// Precond selects the CG preconditioner: ict | ic0 | jacobi | none.
-	// Empty keeps the mode's default top tier (ICT for ensembles via
-	// FastOptions, the modified-IC0 chain otherwise); ict and ic0 name the
-	// top of the shared degradation chain, which falls through
-	// ICT → MIC0 → IC0 → Jacobi on factorization failure.
+	// ict and ic0 name the thermal factorization; the electric operator
+	// always takes plain IC(0) under both. jacobi and none apply to both
+	// operators. Empty keeps the mode's default (ICT for ensembles via
+	// FastOptions, MIC0 otherwise). A failed factorization falls back to
+	// Jacobi for the rest of the run.
 	Precond string `json:"precond,omitempty"`
-	// Precision (float64 | mixed), Deflation and DeflationBlock are v1
-	// fields accepted as no-ops (DESIGN.md §5b): CoreOptions ignores them,
-	// while Validate still applies the v1 rules (unknown precision, mixed
-	// or deflation over precond=jacobi/none, a negative or orphan
-	// deflation_block), so v1 documents keep their accept/reject outcome.
+	// Precision (float64 | mixed), Deflation, DeflationBlock and
+	// PrecondRefresh are v1 fields accepted as no-ops (DESIGN.md §5b):
+	// CoreOptions ignores them, while Validate still applies the v1 rules
+	// (unknown precision, mixed or deflation over precond=jacobi/none, a
+	// negative or orphan deflation_block, a negative precond_refresh), so
+	// v1 documents keep their accept/reject outcome.
 	Precision      string `json:"precision,omitempty"`
 	Deflation      bool   `json:"deflation,omitempty"`
 	DeflationBlock int    `json:"deflation_block,omitempty"`
-	// PrecondOmega is the modified-IC relaxation in [0, 1]; 0 keeps the
-	// default (1, full compensation), negative selects plain IC(0).
+	// PrecondOmega is the relaxation of the thermal MIC0 factor, in
+	// [0, 1]; 0 keeps the default (1, full compensation), negative
+	// selects plain IC(0).
 	PrecondOmega float64 `json:"precond_omega,omitempty"`
-	// PrecondRefresh is the preconditioner lag ratio (default 1.5).
+	// PrecondRefresh was the v1 preconditioner lag ratio; a no-op now.
 	PrecondRefresh float64 `json:"precond_refresh,omitempty"`
 	// SolverWorkers enables the bit-identical parallel matvec/assembly path
 	// inside each transient solve; 0 or 1 keeps the serial default.
@@ -155,9 +158,6 @@ func (s SimConfig) CoreOptions(forEnsemble bool) core.Options {
 	}
 	if s.PrecondOmega != 0 {
 		o.PrecondOmega = s.PrecondOmega
-	}
-	if s.PrecondRefresh > 0 {
-		o.PrecondRefreshRatio = s.PrecondRefresh
 	}
 	if s.SolverWorkers > 0 {
 		o.Workers = s.SolverWorkers

@@ -54,8 +54,10 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 	if o.PrecondOmega != -1 {
 		t.Error("precond omega override lost")
 	}
-	if o.PrecondRefreshRatio != 2.5 {
-		t.Error("precond refresh ratio lost")
+	noRefresh := s
+	noRefresh.PrecondRefresh = 0
+	if o != noRefresh.CoreOptions(false) {
+		t.Error("precond_refresh should be a no-op")
 	}
 	if o.Workers != 4 {
 		t.Error("solver workers lost")

@@ -5,6 +5,7 @@ import (
 
 	"etherm/internal/bondwire"
 	"etherm/internal/fit"
+	"etherm/internal/solver"
 	"etherm/internal/sparse"
 )
 
@@ -184,9 +185,8 @@ func TestPrecondLifecycle(t *testing.T) {
 	}
 }
 
-// TestPrecondJacobiFallbackReason forces the IC0 chain to fail by feeding a
-// matrix mode that cannot be factorized and checks the recorded reason.
-// PrecondNone and PrecondJacobi must keep working regardless.
+// TestPrecondModes checks a coupled run completes under the default
+// factorization mode, PrecondJacobi and PrecondNone.
 func TestPrecondModes(t *testing.T) {
 	for _, mode := range []Precond{PrecondIC0, PrecondJacobi, PrecondNone} {
 		p := wiredProblem(t)
@@ -231,6 +231,46 @@ func TestPlainIC0OptOut(t *testing.T) {
 		if d < -1e-6 || d > 1e-6 {
 			t.Errorf("wire %d: modified %g vs plain %g differ beyond solver tolerance",
 				j, modified.WireTemp[last][j], plain.WireTemp[last][j])
+		}
+	}
+}
+
+// TestPrecondJacobiFallback feeds each factorization build a symmetric
+// matrix that is not positive definite: the build fails, Jacobi serves the
+// solve, one fallback is counted with its reason, and the next solve reuses
+// Jacobi without retrying the factorization.
+func TestPrecondJacobiFallback(t *testing.T) {
+	b := sparse.NewBuilder(2, 2) // [[1 2] [2 1]]: eigenvalues 3 and −1
+	b.Add(0, 0, 1)
+	b.Add(0, 1, 2)
+	b.Add(1, 0, 2)
+	b.Add(1, 1, 1)
+	a := b.ToCSR()
+	for _, tc := range []struct {
+		name     string
+		mode     Precond
+		electric bool
+	}{
+		{"electric ic0", PrecondICT, true},
+		{"thermal ict", PrecondICT, false},
+		{"thermal mic0", PrecondIC0, false},
+	} {
+		s, err := NewSimulator(wiredProblem(t), Options{Precond: tc.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st RunStats
+		s.runStats = &st
+		var ps precState
+		first := s.preconditioner(&ps, a, tc.electric)
+		if _, ok := first.(*solver.JacobiPrec); !ok || ps.tier != tierJacobi {
+			t.Errorf("%s: served %T in tier %q, want Jacobi", tc.name, first, ps.tier)
+		}
+		if st.PrecondFallbacks != 1 || st.PrecondBuilds != 0 || st.PrecondFallbackReason == "" {
+			t.Errorf("%s: fallback not recorded: %+v", tc.name, st)
+		}
+		if again := s.preconditioner(&ps, a, tc.electric); again != first || st.PrecondFallbacks != 1 {
+			t.Errorf("%s: second solve rebuilt the preconditioner (%d fallbacks)", tc.name, st.PrecondFallbacks)
 		}
 	}
 }

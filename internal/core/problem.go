@@ -173,23 +173,23 @@ func (s JouleScheme) String() string {
 // Preconditioner selection for the inner CG solves.
 type Precond int
 
-// Preconditioner kinds. PrecondICT and PrecondIC0 name the top tier of the
-// shared degradation chain ICT → MIC0 → IC0 → Jacobi; a failed factorization
-// (or a refresh that breaks a tier) drops to the next tier, at most once per
-// tier per operator, with the reason recorded in RunStats.
+// Preconditioner kinds. Under the two factorization modes, PrecondIC0 and
+// PrecondICT, the electric operator always takes plain IC(0) and the mode
+// selects the thermal factorization. Each factor is built at its operator's
+// first solve and serves the whole run; a failed build falls back to
+// Jacobi, with the reason recorded in RunStats.
 const (
-	// PrecondIC0 starts the chain at modified incomplete Cholesky with zero
-	// fill (MIC0, or plain IC0 for PrecondOmega < 0).
+	// PrecondIC0 factorizes the thermal operator with modified incomplete
+	// Cholesky with zero fill (MIC0, or plain IC0 for PrecondOmega < 0).
 	PrecondIC0 Precond = iota
-	// PrecondJacobi uses the inverse diagonal.
+	// PrecondJacobi uses the inverse diagonal on both operators.
 	PrecondJacobi
-	// PrecondNone runs plain CG.
+	// PrecondNone runs plain CG on both operators.
 	PrecondNone
-	// PrecondICT starts the chain at dual-threshold incomplete Cholesky
-	// (drop tolerance + per-column fill cap). Roughly 3.6× the factor
-	// entries of IC0 buy a ~2.3× CG iteration cut on the FIT operators, and
-	// the threshold factorization survives matrices where the modified-IC
-	// compensation fails (the electric operator). FastOptions selects it.
+	// PrecondICT factorizes the thermal operator with dual-threshold
+	// incomplete Cholesky (drop tolerance + per-column fill cap). Roughly
+	// 3.6× the factor entries of IC0 buy a ~2.3× CG iteration cut on the
+	// thermal operator. FastOptions selects it.
 	PrecondICT
 )
 
@@ -234,22 +234,13 @@ type Options struct {
 	LinMaxIter int // default 4000
 	Precond    Precond
 
-	// PrecondRefreshRatio is the lag policy for the cached IC0
-	// preconditioner: the numeric factorization is reused across solves and
-	// refreshed (in place, same pattern) only when a solve needs more than
-	// ratio·(iterations right after the last refresh) + a small slack. The
-	// thermal and electric matrices drift slowly with temperature, so 1.5
-	// (the default) refreshes rarely while keeping iteration counts near
-	// the freshly-factored ones. Values below 1 refresh aggressively.
-	PrecondRefreshRatio float64
-
-	// PrecondOmega is the modified-IC relaxation ω ∈ [0, 1] of the default
-	// IC0 preconditioner (Gustafsson diagonal compensation of dropped
-	// fill). ω = 1 — the default, selected by leaving the field zero —
-	// makes the factor exact on constant vectors, cutting CG iterations
-	// ~2–3× on the near-uniform FIT fields. Set a negative value for the
-	// plain, uncompensated IC(0). A failed modified factorization degrades
-	// to plain IC(0) and then Jacobi automatically.
+	// PrecondOmega is the modified-IC relaxation ω ∈ [0, 1] of the thermal
+	// MIC0 factor under PrecondIC0 (Gustafsson diagonal compensation of
+	// dropped fill). ω = 1 — the default, selected by leaving the field
+	// zero — makes the factor exact on constant vectors, cutting CG
+	// iterations ~2–3× on the near-uniform FIT fields. Set a negative value
+	// for the plain, uncompensated IC(0). It does not shape the electric
+	// factor, which is always plain IC(0).
 	PrecondOmega float64
 
 	// Workers enables the opt-in parallel path: row-blocked matvecs inside
@@ -308,9 +299,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LinMaxIter <= 0 {
 		o.LinMaxIter = 4000
-	}
-	if o.PrecondRefreshRatio <= 0 {
-		o.PrecondRefreshRatio = 1.5
 	}
 	switch {
 	case o.PrecondOmega == 0:

@@ -22,22 +22,21 @@ type RunStats struct {
 	FinalBoundaryLoss     float64
 	FinalHottestWireIndex int
 
-	// Preconditioner lifecycle: IC0 factorizations built from scratch
-	// (normally one per operator), in-place numeric refreshes triggered by
-	// the lag policy, downgrades from modified to plain IC(0), and
-	// permanent falls back to Jacobi. The reason records the most recent
-	// downgrade or fallback (normally none happen and it stays empty).
+	// Preconditioner lifecycle: factorizations built (one per operator
+	// per run) and falls back to Jacobi after a failed build, with the
+	// reason of the most recent one (normally none happen and it stays
+	// empty). PrecondRefreshes is always 0: a factor serves its whole run
+	// unrefreshed. The field stays because the benchmark harness reads it.
 	PrecondBuilds         int
 	PrecondRefreshes      int
-	PrecondDowngrades     int
 	PrecondFallbacks      int
 	PrecondFallbackReason string `json:",omitempty"`
 
 	// CG iterations split by the preconditioner tier that served each solve
-	// (both operators combined). With a healthy chain all iterations land in
-	// the configured top tier; anything in the lower tiers quantifies what a
-	// downgrade or fallback cost. Fixed fields, not a map, so RunStats stays
-	// comparable with ==.
+	// (both operators combined). Under a factorization mode the electric
+	// iterations land in IC0 and the thermal ones in the requested tier;
+	// anything in Jacobi quantifies what a failed build cost. Fixed fields,
+	// not a map, so RunStats stays comparable with ==.
 	CGItersICT    int `json:",omitempty"`
 	CGItersMIC0   int `json:",omitempty"`
 	CGItersIC0    int `json:",omitempty"`
@@ -75,15 +74,6 @@ func (r *Result) NumWires() int {
 		return 0
 	}
 	return len(r.WireTemp[0])
-}
-
-// WireSeries returns the temperature time series of wire j.
-func (r *Result) WireSeries(j int) []float64 {
-	out := make([]float64, len(r.Times))
-	for t := range r.Times {
-		out[t] = r.WireTemp[t][j]
-	}
-	return out
 }
 
 // HottestWire returns the wire index with the highest final temperature.

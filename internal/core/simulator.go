@@ -39,8 +39,7 @@ type Simulator struct {
 	scratch        []float64
 
 	// Allocation-free solver state, one per operator: CG workspace, the
-	// precomputed Dirichlet elimination, and the cached preconditioner with
-	// its lag-policy bookkeeping.
+	// precomputed Dirichlet elimination, and the preconditioner of the run.
 	wsE, wsT     *solver.Workspace
 	dirE, dirT   *fit.DirichletApplier
 	precE, precT precState
@@ -50,81 +49,14 @@ type Simulator struct {
 	runStats *RunStats
 }
 
-// precState caches the preconditioner of one operator across solves. The
-// factorization of the configured top tier is built once per operator
-// matrix, numerically refreshed in place only when the lag policy triggers,
-// and degraded — ICT → modified IC0 → plain IC0 → Jacobi — at most once
-// per tier per operator, with the reason recorded.
+// precState holds the preconditioner of one operator for the run in flight.
+// It is built at the operator's first solve and serves every later solve of
+// the run; only Jacobi re-reads the diagonal on each solve.
 type precState struct {
-	mat      *sparse.CSR // operator matrix this state is bound to
-	ict      *solver.CholPrec
-	ic0      *solver.IC0Prec
-	jac      *solver.JacobiPrec
-	omega    float64 // current modified-IC relaxation (downgraded on failure)
-	ictDead  bool    // ICT tier abandoned for this operator
-	useJac   bool    // permanent fallback for this operator
-	tier     string  // tier that will serve the upcoming solve
-	reason   string  // why a tier was abandoned or downgraded
-	refIters int     // CG iterations right after the last (re)factorization
-	fresh    bool    // factorization was rebuilt for the upcoming solve
-	pending  bool    // lag policy requested a refresh before the next solve
-}
-
-// current returns the live factorization of the highest surviving tier, or
-// nil when the chain has not been built for this operator yet.
-func (ps *precState) current() solver.Preconditioner {
-	switch {
-	case ps.ict != nil:
-		return ps.ict
-	case ps.ic0 != nil:
-		return ps.ic0
-	}
-	return nil
-}
-
-// refreshCurrent refactorizes the live tier in place for the drifted values.
-func (ps *precState) refreshCurrent(a *sparse.CSR) error {
-	switch {
-	case ps.ict != nil:
-		return ps.ict.Refresh(a)
-	case ps.ic0 != nil:
-		return ps.ic0.Refresh(a)
-	}
-	return nil
-}
-
-// dropCurrent abandons the live tier after a failed refresh so buildChain
-// rebuilds from the next tier down. (A failed IC0 refresh keeps its omega:
-// buildChain retries the factorization from scratch at the same relaxation
-// before downgrading, matching the build-time chain.)
-func (ps *precState) dropCurrent() {
-	switch {
-	case ps.ict != nil:
-		ps.ict = nil
-		ps.ictDead = true
-	case ps.ic0 != nil:
-		ps.ic0 = nil
-	}
-}
-
-// precondIterSlack is the additive headroom of the lag policy: refresh only
-// when a solve exceeds ratio·refIters + slack iterations, so near-zero
-// iteration counts (warm-started solves) don't trigger refresh storms.
-const precondIterSlack = 4
-
-// noteIters feeds a solve's iteration count into the lag policy.
-func (ps *precState) noteIters(iters int, ratio float64) {
-	if ps.fresh {
-		ps.fresh = false
-		ps.refIters = iters
-		return
-	}
-	if ps.current() == nil || ps.useJac {
-		return
-	}
-	if float64(iters) > ratio*float64(ps.refIters)+precondIterSlack {
-		ps.pending = true
-	}
+	mat  *sparse.CSR           // operator matrix the preconditioner was built for
+	m    solver.Preconditioner // live preconditioner
+	jac  *solver.JacobiPrec    // set when Jacobi serves, so each solve refreshes it
+	tier string                // tier that serves the solves
 }
 
 // NewSimulator validates the problem and prepares operators and buffers.
@@ -241,21 +173,8 @@ func (s *Simulator) Problem() *Problem { return s.prob }
 func (s *Simulator) Options() Options { return s.opt }
 
 // Wires returns the simulator's wires (a live slice owned by the coupling;
-// use SetWireGeometry to modify).
+// use SetWireElongation to modify).
 func (s *Simulator) Wires() []bondwire.Wire { return s.coup.Wires }
-
-// SetWireGeometry replaces the geometry of wire i (e.g. with a sampled
-// uncertain length). The wire's segment topology is unchanged.
-func (s *Simulator) SetWireGeometry(i int, g bondwire.Geometry) error {
-	if i < 0 || i >= len(s.coup.Wires) {
-		return fmt.Errorf("core: wire index %d out of range", i)
-	}
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	s.coup.Wires[i].Geom = g
-	return nil
-}
 
 // SetWireElongation sets the relative elongation δ of wire i, keeping its
 // direct distance and diameter: L = d/(1−δ) per the paper's definition.
@@ -273,12 +192,12 @@ func (s *Simulator) SetWireElongation(i int, delta float64) error {
 }
 
 // ResetState restores the initial condition (uniform initial temperature,
-// zero potentials) and discards the cached preconditioner state, so the
-// simulator can run another sample. The preconditioner reset matters for
-// determinism: ensemble workers run different sample subsequences on the
-// same cloned simulator, and a factorization (or lag-policy history) leaking
-// from one sample into the next would make results depend on the worker
-// split. With the reset, every Run starts from the identical solver state.
+// zero potentials) and discards the preconditioners, so the simulator can
+// run another sample. The preconditioner reset matters for determinism:
+// ensemble workers run different sample subsequences on the same cloned
+// simulator, and a factorization leaking from one sample into the next
+// would make results depend on the worker split. With the reset, every Run
+// starts from the identical solver state.
 func (s *Simulator) ResetState() {
 	t0 := s.prob.InitTemperature()
 	for i := range s.T {
@@ -298,132 +217,61 @@ func (s *Simulator) Temperatures() []float64 { return s.T }
 // Potentials returns the current DOF potential vector (live).
 func (s *Simulator) Potentials() []float64 { return s.phi }
 
-// preconditioner returns the cached preconditioner of the operator behind
-// ps, building it on first use, refreshing the IC0 factorization in place
-// when the lag policy has flagged drift, and falling back to Jacobi at most
-// once per operator (the reason lands in RunStats).
-func (s *Simulator) preconditioner(ps *precState, a *sparse.CSR) solver.Preconditioner {
-	switch s.opt.Precond {
-	case PrecondNone:
-		ps.tier = tierNone
-		return solver.IdentityPrec{}
-	case PrecondJacobi:
-		if ps.mat != a || ps.jac == nil {
-			*ps = precState{mat: a, jac: solver.NewJacobi(a)}
-		} else {
+// preconditioner returns the preconditioner of the operator behind ps,
+// building it at the operator's first solve of the run. Under a
+// factorization mode the electric operator always takes plain IC(0): ICT and
+// MIC0 break down on the floating copper islands of every chip mesh coarser
+// than 0.25 mm. The thermal operator takes the factorization Precond names.
+// A failed build falls back to Jacobi for the rest of the run, with the
+// reason in RunStats.
+func (s *Simulator) preconditioner(ps *precState, a *sparse.CSR, electric bool) solver.Preconditioner {
+	if ps.mat == a {
+		if ps.jac != nil {
 			ps.jac.Refresh(a)
 		}
-		ps.tier = tierJacobi
-		return ps.jac
-	default: // incomplete-factorization chain with lagged in-place refresh
-		if ps.mat != a {
-			*ps = precState{mat: a, omega: s.opt.PrecondOmega}
-		}
-		if ps.useJac {
-			ps.jac.Refresh(a)
-			ps.tier = tierJacobi
-			return ps.jac
-		}
-		cur := ps.current()
-		if cur == nil {
-			return s.buildChain(ps, a)
-		}
-		if ps.pending {
-			if err := ps.refreshCurrent(a); err != nil {
-				// The refreshed values broke this tier; rebuild down the
-				// degradation chain.
-				ps.reason = err.Error()
-				ps.dropCurrent()
-				return s.buildChain(ps, a)
-			}
-			ps.pending = false
-			ps.fresh = true
-			if s.runStats != nil {
-				s.runStats.PrecondRefreshes++
-			}
-		}
-		return cur
+		return ps.m
 	}
-}
-
-// noteDowngrade records one step down the degradation chain.
-func (s *Simulator) noteDowngrade(ps *precState, err error) {
-	ps.reason = err.Error()
-	if s.runStats != nil {
-		s.runStats.PrecondDowngrades++
-		s.runStats.PrecondFallbackReason = ps.reason
-	}
-}
-
-// buildChain factorizes the operator at the highest tier the options and
-// this operator's earlier failures allow, degrading
-// ICT → modified IC0 → plain IC0 → Jacobi.
-func (s *Simulator) buildChain(ps *precState, a *sparse.CSR) solver.Preconditioner {
-	if s.opt.Precond == PrecondICT && !ps.ictDead {
-		ict, err := solver.NewICT(a, 0, 0)
-		if err == nil {
-			ps.ict = ict
-			ps.tier = tierICT
-			ps.pending, ps.fresh = false, true
-			if s.runStats != nil {
-				s.runStats.PrecondBuilds++
-			}
-			return ict
-		}
-		ps.ictDead = true
-		s.noteDowngrade(ps, err)
-	}
-	ic, err := solver.NewMIC0(a, ps.omega)
-	if err != nil && ps.omega != 0 {
-		ps.omega = 0
-		s.noteDowngrade(ps, err)
-		ic, err = solver.NewIC0(a)
-	}
-	if err != nil {
-		return s.fallbackJacobi(ps, a, err)
-	}
-	ps.ic0 = ic
-	if ps.omega != 0 {
-		ps.tier = tierMIC0
-	} else {
-		ps.tier = tierIC0
-	}
-	ps.pending = false
-	ps.fresh = true
-	if s.runStats != nil {
-		s.runStats.PrecondBuilds++
-	}
-	return ic
-}
-
-// fallbackJacobi permanently switches one operator's preconditioning to
-// Jacobi after a failed IC0 factorization, recording why.
-func (s *Simulator) fallbackJacobi(ps *precState, a *sparse.CSR, err error) solver.Preconditioner {
-	ps.ict, ps.ic0 = nil, nil
-	ps.useJac = true
-	ps.tier = tierJacobi
-	ps.fresh = true
-	ps.reason = err.Error()
-	if ps.jac == nil {
+	*ps = precState{mat: a}
+	var err error
+	switch {
+	case s.opt.Precond == PrecondNone:
+		ps.m, ps.tier = solver.IdentityPrec{}, tierNone
+		return ps.m
+	case s.opt.Precond == PrecondJacobi:
 		ps.jac = solver.NewJacobi(a)
-	} else {
-		ps.jac.Refresh(a)
+		ps.m, ps.tier = ps.jac, tierJacobi
+		return ps.m
+	case s.opt.Precond == PrecondICT && !electric:
+		ps.m, err = solver.NewICT(a, 0, 0)
+		ps.tier = tierICT
+	case electric || s.opt.PrecondOmega == 0:
+		ps.m, err = solver.NewIC0(a)
+		ps.tier = tierIC0
+	default:
+		ps.m, err = solver.NewMIC0(a, s.opt.PrecondOmega)
+		ps.tier = tierMIC0
 	}
+	if err == nil {
+		if s.runStats != nil {
+			s.runStats.PrecondBuilds++
+		}
+		return ps.m
+	}
+	ps.jac = solver.NewJacobi(a)
+	ps.m, ps.tier = ps.jac, tierJacobi
 	if s.runStats != nil {
 		s.runStats.PrecondFallbacks++
-		s.runStats.PrecondFallbackReason = ps.reason
+		s.runStats.PrecondFallbackReason = err.Error()
 	}
-	return ps.jac
+	return ps.m
 }
 
-// solveCG runs one preconditioned CG solve and feeds the outcome to the lag
-// policy, the per-tier RunStats counters and the process-wide solve
-// observer.
+// solveCG runs one preconditioned CG solve and reports it to the per-tier
+// RunStats counters and the process-wide solve observer.
 func (s *Simulator) solveCG(op string, ws *solver.Workspace, a *sparse.CSR, b, x []float64, ps *precState) (solver.Stats, error) {
-	m := s.preconditioner(ps, a)
+	m := s.preconditioner(ps, a, op == "electric")
 	opt := solver.Options{Tol: s.opt.LinTol, MaxIter: s.opt.LinMaxIter, Workers: s.opt.Workers}
 	stats, err := solver.CGWith(ws, a, b, x, m, opt)
-	ps.noteIters(stats.Iterations, s.opt.PrecondRefreshRatio)
 	if s.runStats != nil {
 		switch ps.tier {
 		case tierICT:

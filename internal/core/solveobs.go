@@ -3,8 +3,9 @@ package core
 import "sync/atomic"
 
 // Preconditioner tier names, as reported in RunStats and to the solve
-// observer. They name the position in the degradation chain that served a
-// solve, not the option that was requested.
+// observer. They name the preconditioner that served a solve, not the
+// option that was requested: electric solves under a factorization mode
+// report ic0, and a failed build reports jacobi.
 const (
 	tierICT    = "ict"
 	tierMIC0   = "mic0"

@@ -125,9 +125,6 @@ func NewAssembler(g *grid.Grid, cellMat []int, lib *material.Library) (*Assemble
 	return a, nil
 }
 
-// CellMaterial returns the material ID of cell c.
-func (a *Assembler) CellMaterial(c int) int { return a.cellMat[c] }
-
 // NumEdges returns the number of grid edges (branches) the assembler manages.
 func (a *Assembler) NumEdges() int { return a.Grid.NumEdges() }
 
@@ -215,18 +212,4 @@ func (a *Assembler) EdgeConductancesWorkers(kind Kind, T, dst []float64, workers
 // (entries ρc_j·Ṽ_j per node).
 func (a *Assembler) MassDiag() []float64 {
 	return append([]float64(nil), a.massDiag...)
-}
-
-// BoundaryAreas returns a copy of the exposed boundary area per node.
-func (a *Assembler) BoundaryAreas() []float64 {
-	return append([]float64(nil), a.bndArea...)
-}
-
-// TotalBoundaryArea returns the summed exposed area (the domain surface).
-func (a *Assembler) TotalBoundaryArea() float64 {
-	s := 0.0
-	for _, v := range a.bndArea {
-		s += v
-	}
-	return s
 }

@@ -40,9 +40,6 @@ func (a *Assembler) BuildHouse(T []float64) *House {
 // ElectricLaplacian forms −S̃ Mσ G = Gᵀ Mσ G explicitly (for verification).
 func (h *House) ElectricLaplacian() *sparse.CSR { return tripleProduct(h.G, h.MSigma) }
 
-// ThermalLaplacian forms −S̃ Mλ G = Gᵀ Mλ G explicitly (for verification).
-func (h *House) ThermalLaplacian() *sparse.CSR { return tripleProduct(h.G, h.MLamda) }
-
 // tripleProduct computes Gᵀ diag(m) G via stamping, which is algebraically
 // identical to the explicit sparse product for an incidence-structured G.
 func tripleProduct(g *sparse.CSR, m []float64) *sparse.CSR {

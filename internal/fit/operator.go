@@ -145,16 +145,6 @@ func JouleEdgeSplit(branches []Branch, g, phi, dst []float64) {
 	}
 }
 
-// BranchPowers returns the per-branch Joule powers g_b (Δφ_b)².
-func BranchPowers(branches []Branch, g, phi []float64) []float64 {
-	out := make([]float64, len(branches))
-	for b, br := range branches {
-		dphi := phi[br.N1] - phi[br.N2]
-		out[b] = g[b] * dphi * dphi
-	}
-	return out
-}
-
 // TotalPower returns φᵀKφ = Σ_b g_b (Δφ_b)².
 func TotalPower(branches []Branch, g, phi []float64) float64 {
 	s := 0.0

@@ -372,17 +372,6 @@ func (g *Grid) IsBoundaryNode(n int) bool {
 	return i == 0 || i == g.Nx-1 || j == 0 || j == g.Ny-1 || k == 0 || k == g.Nz-1
 }
 
-// BoundaryNodes returns all boundary node indices in increasing order.
-func (g *Grid) BoundaryNodes() []int {
-	var out []int
-	for n := 0; n < g.NumNodes(); n++ {
-		if g.IsBoundaryNode(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // BoundaryArea returns the exposed surface area of the dual cell of node n:
 // the portion of the domain boundary attributed to the node. Interior nodes
 // return zero. The sum over all nodes equals the total surface area of the

@@ -132,9 +132,10 @@ func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
 }
 
 // TestV1SolverKnobsAreNoOps pins the v1 contract of the removed solver
-// features: a document carrying precision, deflation and deflation_block
-// validates and runs to results byte-identical to the same document
-// without them, on both the strict (MIC0) and the ensemble (ICT) chain.
+// features: a document carrying precision, deflation, deflation_block and
+// precond_refresh validates and runs to results byte-identical to the same
+// document without them, on both the strict (MIC0) and the ensemble (ICT)
+// thermal factorization.
 func TestV1SolverKnobsAreNoOps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled-field batch is seconds-scale")
@@ -163,7 +164,7 @@ func TestV1SolverKnobsAreNoOps(t *testing.T) {
 		}
 		return summaryJSON(t, res)
 	}
-	with := run(`, "precision": "mixed", "deflation": true, "deflation_block": 64`)
+	with := run(`, "precision": "mixed", "deflation": true, "deflation_block": 64, "precond_refresh": 0.5`)
 	without := run("")
 	if with != without {
 		t.Errorf("v1 solver knobs changed the results:\nwith:    %s\nwithout: %s", with, without)

@@ -215,7 +215,7 @@ func TestScenarioSolverKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := batch.Scenarios[0].Sim.CoreOptions(false)
-	if opt.PrecondOmega != 0.95 || opt.PrecondRefreshRatio != 2 || opt.Workers != 4 {
+	if opt.PrecondOmega != 0.95 || opt.Workers != 4 {
 		t.Errorf("solver knobs lost in materialization: %+v", opt)
 	}
 	bad := Scenario{

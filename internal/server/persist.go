@@ -243,8 +243,9 @@ func (s *Server) initMetrics() {
 	// CG-iteration telemetry: the core simulator reports every inner linear
 	// solve through its process-wide observer; the histogram tracks the
 	// iteration distribution per operator and the counters attribute solves
-	// to the preconditioner tier that served them (a drift away from the
-	// configured top tier flags degradation in production).
+	// to the preconditioner tier that served them. Under a factorization
+	// mode electric solves count as ic0 and thermal ones as the requested
+	// ict or mic0; tier="jacobi" there means a factorization build failed.
 	cgHist := make(map[string]*metrics.Histogram, 2)
 	cgSolves := make(map[string]*metrics.Counter, 10)
 	cgBounds := []float64{5, 10, 15, 20, 25, 35, 50, 75, 100, 150, 250, 500, 1000}

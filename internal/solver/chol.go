@@ -23,7 +23,7 @@ const ndLeafSize = 48
 // construction. Per factor column, only the lfil largest magnitudes above a
 // drop threshold are kept: at 2–4× fill this cuts the iteration count
 // several-fold over the level-0 factors while each iteration stays cheap,
-// which makes it the top tier of the ensemble preconditioner chain. Refresh
+// which makes it the thermal factorization of ensemble runs. Refresh
 // refactorizes numerically in place (allocation-free) for new values on the
 // same pattern.
 //

@@ -70,8 +70,7 @@ func NewIC0(a *sparse.CSR) (*IC0Prec, error) {
 // makes the preconditioner exact on constant vectors — a dramatic iteration
 // cut for the near-uniform temperature and potential fields of this code's
 // FIT operators. The compensation lowers pivots, so factorization failure is
-// more likely than for plain IC(0); callers degrade to omega = 0 and then to
-// Jacobi.
+// more likely than for plain IC(0); the simulator falls back to Jacobi.
 func NewMIC0(a *sparse.CSR, omega float64) (*IC0Prec, error) {
 	n := a.Rows
 	if a.Cols != n {

@@ -231,29 +231,6 @@ func ClampWorkers(workers, n int) int {
 	return workers
 }
 
-// MulVecAdd computes dst += s * A x, summing rows in the canonical order of
-// mulVecRows.
-func (a *CSR) MulVecAdd(dst []float64, s float64, x []float64) {
-	if len(dst) != a.Rows || len(x) != a.Cols {
-		panic("sparse: MulVecAdd dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		klo, khi := a.RowPtr[i], a.RowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		k := klo
-		for ; k+4 <= khi; k += 4 {
-			s0 += a.Val[k] * x[a.ColIdx[k]]
-			s1 += a.Val[k+1] * x[a.ColIdx[k+1]]
-			s2 += a.Val[k+2] * x[a.ColIdx[k+2]]
-			s3 += a.Val[k+3] * x[a.ColIdx[k+3]]
-		}
-		for ; k < khi; k++ {
-			s0 += a.Val[k] * x[a.ColIdx[k]]
-		}
-		dst[i] += s * ((s0 + s1) + (s2 + s3))
-	}
-}
-
 // At returns the entry at (i, j), zero when not stored.
 func (a *CSR) At(i, j int) float64 {
 	if i < 0 || i >= a.Rows || j < 0 || j >= a.Cols {

@@ -84,50 +84,6 @@ func Quantile(xs []float64, p float64) float64 {
 	return QuantileSorted(s, p)
 }
 
-// Welford is a streaming mean/variance accumulator that is numerically
-// stable and mergeable (Chan et al.), used by the parallel ensemble driver.
-type Welford struct {
-	N    int
-	Mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.N++
-	d := x - w.Mean
-	w.Mean += d / float64(w.N)
-	w.m2 += d * (x - w.Mean)
-}
-
-// Merge combines another accumulator into this one.
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.N), float64(o.N)
-	d := o.Mean - w.Mean
-	tot := n1 + n2
-	w.Mean += d * n2 / tot
-	w.m2 += o.m2 + d*d*n1*n2/tot
-	w.N += o.N
-}
-
-// Variance returns the unbiased running variance.
-func (w *Welford) Variance() float64 {
-	if w.N < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.N-1)
-}
-
-// StdDev returns the unbiased running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // Histogram is a fixed-width binning of scalar samples.
 type Histogram struct {
 	Lo, Hi float64

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestMoments(t *testing.T) {
@@ -31,46 +30,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if math.Abs(Quantile(xs, 0.25)-2) > 1e-12 {
 		t.Errorf("q25 = %g", Quantile(xs, 0.25))
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 1))
-		n := 2 + r.IntN(100)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 10
-			w.Add(xs[i])
-		}
-		return math.Abs(w.Mean-Mean(xs)) < 1e-9 && math.Abs(w.Variance()-Variance(xs)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	var whole Welford
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var a, b Welford
-	for _, x := range xs[:77] {
-		a.Add(x)
-	}
-	for _, x := range xs[77:] {
-		b.Add(x)
-	}
-	a.Merge(b)
-	if math.Abs(a.Mean-whole.Mean) > 1e-12 || math.Abs(a.Variance()-whole.Variance()) > 1e-12 {
-		t.Error("merged accumulator disagrees with sequential")
 	}
 }
 

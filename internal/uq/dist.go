@@ -217,11 +217,3 @@ func (l LogNormal) StdDev() float64 {
 }
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogN(%g, %g²)", l.MuLog, l.SigmaLog) }
-
-// PaperElongation returns the paper's fitted elongation distribution
-// N(µ = 0.17, σ = 0.048), truncated to the physical range [0, 0.9] (the
-// truncation clips less than 2×10⁻⁴ of the probability mass on each side of
-// relevance and keeps sampled lengths finite).
-func PaperElongation() Dist {
-	return TruncatedNormal{Mu: 0.17, Sigma: 0.048, Lo: 0, Hi: 0.9}
-}

@@ -231,13 +231,6 @@ func (p *PCE) DotBasis(psi []float64, k int) float64 {
 	return v
 }
 
-// EvalGerm evaluates output k directly at a standard-normal germ vector.
-func (p *PCE) EvalGerm(xi []float64, k int) float64 {
-	psi := make([]float64, len(p.Indices))
-	p.BasisGerm(xi, psi)
-	return p.DotBasis(psi, k)
-}
-
 // Eval evaluates the fitted surrogate at physical parameters x for output k.
 func (p *PCE) Eval(dists []Dist, x []float64, k int) float64 {
 	xi := make([]float64, p.Dim)

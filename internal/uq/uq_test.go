@@ -453,28 +453,6 @@ func TestPCERecoverLinearModel(t *testing.T) {
 	}
 }
 
-func TestSaltelliAdditiveModel(t *testing.T) {
-	dists := []Dist{Normal{0, 1}, Normal{0, 2}, Normal{0, 0.5}}
-	model := &polyModel{c: []float64{1, 1, 1}}
-	idx, err := Saltelli(SingleFactory(model), dists, 4000, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	varTot := 1.0 + 4 + 0.25
-	want := []float64{1 / varTot, 4 / varTot, 0.25 / varTot}
-	for j := range want {
-		if math.Abs(idx.Main[j]-want[j]) > 0.05 {
-			t.Errorf("S_%d = %g, want %g", j, idx.Main[j], want[j])
-		}
-		if math.Abs(idx.Total[j]-want[j]) > 0.05 {
-			t.Errorf("T_%d = %g, want %g", j, idx.Total[j], want[j])
-		}
-	}
-	if idx.Evals != 4000*(3+2) {
-		t.Errorf("evaluation count %d, want %d", idx.Evals, 4000*5)
-	}
-}
-
 func TestTransformPointClampsEndpoints(t *testing.T) {
 	dst := make([]float64, 1)
 	TransformPoint([]Dist{Normal{0, 1}}, []float64{0}, dst)
