@@ -12,8 +12,8 @@ SHELL := /bin/bash
 # BENCH_PR10.json — the baseline the bench-gate compares against).
 # BenchmarkCampaignStreaming carries the retained-heap metric of the
 # streaming campaign path (the hard memory gate lives in internal/uq tests);
-# BenchmarkMatvec tracks the CSR kernel variants (scalar reference,
-# cache-blocked, parallel) that carry the CG inner loop;
+# BenchmarkMatvec tracks the CSR matvec: the serial kernel that carries the
+# CG inner loop and the row-split MulVecWorkers;
 # BenchmarkSurrogateQuery tracks the surrogate read path (the p50 < 1ms
 # query-latency acceptance of the /v1/surrogates API); BenchmarkRareSolves
 # reports the solves metric — limit-state evaluations each estimator (MC,

@@ -100,12 +100,12 @@ type SimSpec struct {
 	Integrator string  `json:"integrator,omitempty"` // implicit-euler|trapezoidal|bdf2
 	Joule      string  `json:"joule,omitempty"`      // edge-split|cell-average
 	LinTol     float64 `json:"lin_tol,omitempty"`
-	// Performance knobs (solver preconditioning and parallelism). Precond
-	// ict|ic0 selects the thermal factorization (the electric operator
-	// always takes plain IC(0)); jacobi|none apply to both operators.
-	// PrecondOmega shapes only the thermal MIC0 factor. Precision
-	// (float64|mixed), Deflation, DeflationBlock and PrecondRefresh are
-	// accepted and validated but ignored (v1 compatibility).
+	// Performance knobs (solver preconditioning). Precond ict|ic0 selects
+	// the thermal factorization (the electric operator always takes plain
+	// IC(0)); jacobi|none apply to both operators. PrecondOmega shapes only
+	// the thermal MIC0 factor. Precision (float64|mixed), Deflation,
+	// DeflationBlock, PrecondRefresh and SolverWorkers are accepted and
+	// validated but ignored (v1 compatibility).
 	Precond        string  `json:"precond,omitempty"`   // ict|ic0|jacobi|none
 	Precision      string  `json:"precision,omitempty"` // float64|mixed
 	Deflation      bool    `json:"deflation,omitempty"`

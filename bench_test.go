@@ -519,24 +519,17 @@ func BenchmarkSolverReuse(b *testing.B) {
 	b.ReportMetric(float64(iters), "cg_iters")
 }
 
-// BenchmarkMatvec measures the CSR matvec kernels on the chip thermal step
-// matrix: the scalar reference, the cache-blocked plan (row blocks, int32
-// indices) and the block-partitioned parallel path. All three sum every row
-// in the same canonical four-accumulator order and are bit-identical. At
-// this mesh size the working set is cache resident and the kernels are
-// gather-latency bound.
+// BenchmarkMatvec measures the CSR matvec on the chip thermal step matrix:
+// the serial kernel CG runs and the row-split MulVecWorkers at eight
+// workers. Both sum every row in the same canonical four-accumulator order
+// and are bit-identical. At this mesh size the working set is cache
+// resident and the kernel is gather-latency bound.
 func BenchmarkMatvec(b *testing.B) {
 	lay, err := coarseSpec().Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	a, _ := thermalStepMatrix(b, lay)
-	raw := a.Clone() // Clone drops the plan: always the scalar path
-	a.Optimize()
-	pl := a.Plan()
-	if pl == nil {
-		b.Fatal("plan not built")
-	}
 	n := a.Rows
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -545,15 +538,9 @@ func BenchmarkMatvec(b *testing.B) {
 	}
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			raw.MulVec(y, x)
-		}
-		b.ReportMetric(float64(raw.NNZ()), "nnz")
-	})
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
 			a.MulVec(y, x)
 		}
-		b.ReportMetric(float64(pl.NumBlocks()), "blocks")
+		b.ReportMetric(float64(a.NNZ()), "nnz")
 	})
 	b.Run("workers8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -41,8 +41,9 @@ type SimConfig struct {
 	PrecondOmega float64 `json:"precond_omega,omitempty"`
 	// PrecondRefresh was the v1 preconditioner lag ratio; a no-op now.
 	PrecondRefresh float64 `json:"precond_refresh,omitempty"`
-	// SolverWorkers enables the bit-identical parallel matvec/assembly path
-	// inside each transient solve; 0 or 1 keeps the serial default.
+	// SolverWorkers was the v1 intra-solve worker count; a no-op now (CG
+	// runs serial, parallelism lives in the sample and scenario pools).
+	// Validate still rejects a negative value.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 }
 
@@ -158,9 +159,6 @@ func (s SimConfig) CoreOptions(forEnsemble bool) core.Options {
 	}
 	if s.PrecondOmega != 0 {
 		o.PrecondOmega = s.PrecondOmega
-	}
-	if s.SolverWorkers > 0 {
-		o.Workers = s.SolverWorkers
 	}
 	return o
 }

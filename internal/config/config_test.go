@@ -59,12 +59,16 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 	if o != noRefresh.CoreOptions(false) {
 		t.Error("precond_refresh should be a no-op")
 	}
-	if o.Workers != 4 {
-		t.Error("solver workers lost")
+	noWorkers := s
+	noWorkers.SolverWorkers = 0
+	for _, ensemble := range []bool{false, true} {
+		if s.CoreOptions(ensemble) != noWorkers.CoreOptions(ensemble) {
+			t.Errorf("solver_workers should be a no-op (ensemble=%v)", ensemble)
+		}
 	}
 	// Unset knobs keep the core defaults.
 	d := SimConfig{EndTimeS: 10, NumSteps: 5}.CoreOptions(false)
-	if d.Precond != core.PrecondIC0 || d.Workers != 0 || d.PrecondOmega != 0 {
+	if d.Precond != core.PrecondIC0 || d.PrecondOmega != 0 {
 		t.Errorf("zero-value knobs should defer to core defaults: %+v", d)
 	}
 	for _, bad := range []SimConfig{

@@ -76,81 +76,6 @@ func TestSteadyStateSolveZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossWorkers asserts the opt-in parallel path is
-// bit-identical to the serial default: every Result field of a coupled
-// transient must match exactly for 1, 2 and 8 workers. The mesh is sized
-// above both parallel gates (sparse.ParallelMinNNZ, fit.ParallelMinEdges)
-// so the blocked goroutine paths genuinely run rather than falling back to
-// the serial loops.
-func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	build := func() *Problem {
-		p := uniformProblem(t, constCopper(), 4e-3, 4e-3, 4e-3, 14, 14, 14)
-		g := p.Grid
-		nodeA := g.NodeIndex(0, 0, 13)
-		nodeB := g.NodeIndex(13, 13, 13)
-		p.Wires = []bondwire.Wire{{
-			NodeA: nodeA, NodeB: nodeB,
-			Geom: bondwire.Geometry{Direct: 1.29e-3, DeltaS: 0.26e-3, Diameter: 25.4e-6},
-			Mat:  constCopper(),
-		}}
-		p.ElecDirichlet = []fit.Dirichlet{
-			{Nodes: []int{nodeA}, Values: []float64{0}},
-			{Nodes: []int{nodeB}, Values: []float64{20e-3}},
-		}
-		p.ThermalBC = fit.RobinBC{H: 25, Emissivity: 0.8, TInf: 300}
-		return p
-	}
-	run := func(workers int) *Result {
-		p := build()
-		if p.Grid.NumEdges() < fit.ParallelMinEdges {
-			t.Fatalf("test mesh has %d edges, below the parallel assembly gate", p.Grid.NumEdges())
-		}
-		opt := Options{EndTime: 2, NumSteps: 4, Workers: workers}
-		s, err := NewSimulator(p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.opT.Matrix().NNZ() < sparse.ParallelMinNNZ {
-			t.Fatalf("thermal operator has %d entries, below the parallel matvec gate", s.opT.Matrix().NNZ())
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := run(0)
-	eqVec := func(t *testing.T, name string, a, b []float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d]: %g != %g", name, i, a[i], b[i])
-			}
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := run(workers)
-		eqVec(t, "Times", got.Times, ref.Times)
-		eqVec(t, "FieldPower", got.FieldPower, ref.FieldPower)
-		eqVec(t, "WirePowerTotal", got.WirePowerTotal, ref.WirePowerTotal)
-		eqVec(t, "BoundaryLoss", got.BoundaryLoss, ref.BoundaryLoss)
-		eqVec(t, "EnergyImbalance", got.EnergyImbalance, ref.EnergyImbalance)
-		eqVec(t, "FinalField", got.FinalField, ref.FinalField)
-		eqVec(t, "FinalPhi", got.FinalPhi, ref.FinalPhi)
-		for ti := range ref.WireTemp {
-			eqVec(t, "WireTemp", got.WireTemp[ti], ref.WireTemp[ti])
-			eqVec(t, "WireMaxTemp", got.WireMaxTemp[ti], ref.WireMaxTemp[ti])
-			eqVec(t, "WirePower", got.WirePower[ti], ref.WirePower[ti])
-		}
-		if got.Stats != ref.Stats {
-			t.Errorf("workers=%d: solver stats diverged: %+v vs %+v", workers, got.Stats, ref.Stats)
-		}
-	}
-}
-
 // TestPrecondLifecycle pins the cached-preconditioner contract: one build
 // per operator per run, refreshes only when the lag policy triggers, no
 // fallbacks on healthy SPD systems, and a reset between runs (run-to-run

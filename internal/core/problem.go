@@ -243,13 +243,6 @@ type Options struct {
 	// factor, which is always plain IC(0).
 	PrecondOmega float64
 
-	// Workers enables the opt-in parallel path: row-blocked matvecs inside
-	// CG and blocked edge-conductance assembly, both bit-identical to the
-	// serial loops. 0 or 1 keeps the fully serial default; larger values
-	// are clamped to GOMAXPROCS, and small problems stay serial regardless
-	// (see sparse.ParallelMinNNZ, fit.ParallelMinEdges).
-	Workers int
-
 	// RecordFieldEvery stores the full grid temperature field every k-th
 	// step (0 disables; the final field is always kept).
 	RecordFieldEvery int

@@ -163,9 +163,6 @@ func (s *Simulator) Clone() (*Simulator, error) {
 // NumDOF returns the total number of unknowns (grid nodes + wire internals).
 func (s *Simulator) NumDOF() int { return s.nDOF }
 
-// NumGridNodes returns the number of grid nodes.
-func (s *Simulator) NumGridNodes() int { return s.nGrid }
-
 // Problem returns the problem definition (treat as read-only).
 func (s *Simulator) Problem() *Problem { return s.prob }
 
@@ -213,9 +210,6 @@ func (s *Simulator) ResetState() {
 // Temperatures returns the current DOF temperature vector (live; copy before
 // modifying).
 func (s *Simulator) Temperatures() []float64 { return s.T }
-
-// Potentials returns the current DOF potential vector (live).
-func (s *Simulator) Potentials() []float64 { return s.phi }
 
 // preconditioner returns the preconditioner of the operator behind ps,
 // building it at the operator's first solve of the run. Under a
@@ -270,7 +264,7 @@ func (s *Simulator) preconditioner(ps *precState, a *sparse.CSR, electric bool) 
 // RunStats counters and the process-wide solve observer.
 func (s *Simulator) solveCG(op string, ws *solver.Workspace, a *sparse.CSR, b, x []float64, ps *precState) (solver.Stats, error) {
 	m := s.preconditioner(ps, a, op == "electric")
-	opt := solver.Options{Tol: s.opt.LinTol, MaxIter: s.opt.LinMaxIter, Workers: s.opt.Workers}
+	opt := solver.Options{Tol: s.opt.LinTol, MaxIter: s.opt.LinMaxIter}
 	stats, err := solver.CGWith(ws, a, b, x, m, opt)
 	if s.runStats != nil {
 		switch ps.tier {
@@ -294,7 +288,7 @@ func (s *Simulator) solveCG(op string, ws *solver.Workspace, a *sparse.CSR, b, x
 // DOF temperatures T, leaving the potentials in s.phi (warm-started). The
 // per-branch electric conductances remain in s.condE for Joule evaluation.
 func (s *Simulator) SolveElectric(T []float64) (solver.Stats, error) {
-	s.asm.EdgeConductancesWorkers(fit.Electric, T[:s.nGrid], s.condE[:s.nEdges], s.opt.Workers)
+	s.asm.EdgeConductances(fit.Electric, T[:s.nGrid], s.condE[:s.nEdges])
 	s.coup.SegmentConductances(fit.Electric, T, s.condE[s.nEdges:])
 	s.opE.SetValues(s.condE)
 	a := s.opE.Matrix()
@@ -332,7 +326,7 @@ func (s *Simulator) jouleInto(T, dst []float64) (fieldP, wireP float64) {
 // assembleThermal evaluates the thermal conductances at Tk and stamps the
 // Laplacian into s.opT.
 func (s *Simulator) assembleThermal(Tk []float64) {
-	s.asm.EdgeConductancesWorkers(fit.Thermal, Tk[:s.nGrid], s.condT[:s.nEdges], s.opt.Workers)
+	s.asm.EdgeConductances(fit.Thermal, Tk[:s.nGrid], s.condT[:s.nEdges])
 	s.coup.SegmentConductances(fit.Thermal, Tk, s.condT[s.nEdges:])
 	s.opT.SetValues(s.condT)
 }
@@ -341,7 +335,7 @@ func (s *Simulator) assembleThermal(Tk []float64) {
 // K(Tk)·Tk + boundary loss − Q into dst. Used for the explicit part of the
 // θ-scheme and for energy audits.
 func (s *Simulator) thermalResidualParts(Tk, q, dst []float64) {
-	s.asm.EdgeConductancesWorkers(fit.Thermal, Tk[:s.nGrid], s.condT[:s.nEdges], s.opt.Workers)
+	s.asm.EdgeConductances(fit.Thermal, Tk[:s.nGrid], s.condT[:s.nEdges])
 	s.coup.SegmentConductances(fit.Thermal, Tk, s.condT[s.nEdges:])
 	fit.ApplyLaplacian(s.branches, s.condT, Tk, dst)
 	fit.RobinLoss(Tk[:s.nGrid], s.bndAreas[:s.nGrid], s.prob.ThermalBC, dst)

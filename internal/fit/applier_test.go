@@ -167,38 +167,3 @@ func TestDirichletApplierZeroAlloc(t *testing.T) {
 		t.Errorf("Apply performed %v allocations, want 0", allocs)
 	}
 }
-
-// TestEdgeConductancesWorkersBitIdentical compares the blocked parallel
-// assembly against the serial one bit for bit, on a mesh below the size
-// gate (serial fallback) and one above it (the goroutine path really runs).
-func TestEdgeConductancesWorkersBitIdentical(t *testing.T) {
-	small, gs := uniformAssembler(t, 1, 6, 5, 4)
-	big, gb := uniformAssembler(t, 1, 13, 13, 12)
-	if gb.NumEdges() < ParallelMinEdges {
-		t.Fatalf("large mesh has %d edges, below the %d parallel gate", gb.NumEdges(), ParallelMinEdges)
-	}
-	for _, tc := range []struct {
-		asm *Assembler
-		ne  int
-		nn  int
-	}{{small, gs.NumEdges(), gs.NumNodes()}, {big, gb.NumEdges(), gb.NumNodes()}} {
-		T := make([]float64, tc.nn)
-		for i := range T {
-			T[i] = 300 + 20*float64(i%13)
-		}
-		for _, kind := range []Kind{Electric, Thermal} {
-			ref := make([]float64, tc.ne)
-			tc.asm.EdgeConductances(kind, T, ref)
-			for _, workers := range []int{0, 2, 8} {
-				dst := make([]float64, tc.ne)
-				tc.asm.EdgeConductancesWorkers(kind, T, dst, workers)
-				for e := range dst {
-					if dst[e] != ref[e] {
-						t.Fatalf("%v edges=%d workers=%d: edge %d = %g, serial %g",
-							kind, tc.ne, workers, e, dst[e], ref[e])
-					}
-				}
-			}
-		}
-	}
-}

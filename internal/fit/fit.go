@@ -17,11 +17,9 @@ package fit
 
 import (
 	"fmt"
-	"sync"
 
 	"etherm/internal/grid"
 	"etherm/internal/material"
-	"etherm/internal/sparse"
 )
 
 // StefanBoltzmann is the Stefan–Boltzmann constant in W/(m²·K⁴).
@@ -143,15 +141,7 @@ func (a *Assembler) EdgeConductances(kind Kind, T []float64, dst []float64) {
 	if T != nil && len(T) < g.NumNodes() {
 		panic("fit: EdgeConductances temperature vector too short")
 	}
-	a.edgeConductancesRange(kind, T, dst, 0, len(dst))
-}
-
-// edgeConductancesRange evaluates edges [lo, hi). Both the serial and the
-// parallel assembly run this kernel over disjoint ranges, so they produce
-// bit-identical conductances.
-func (a *Assembler) edgeConductancesRange(kind Kind, T, dst []float64, lo, hi int) {
-	g := a.Grid
-	for e := lo; e < hi; e++ {
+	for e := range dst {
 		var Te float64 = material.ReferenceTemperature
 		if T != nil {
 			n1, n2 := g.EdgeNodes(e)
@@ -168,44 +158,6 @@ func (a *Assembler) edgeConductancesRange(kind Kind, T, dst []float64, lo, hi in
 		}
 		dst[e] = s * a.geo[e]
 	}
-}
-
-// ParallelMinEdges is the edge count below which EdgeConductancesWorkers
-// falls back to the serial loop: the per-edge material blends are cheap
-// enough that small meshes lose more to goroutine scheduling than they gain.
-const ParallelMinEdges = 4096
-
-// EdgeConductancesWorkers is EdgeConductances with the edges split into
-// contiguous blocks evaluated by up to `workers` goroutines (clamped to
-// GOMAXPROCS). Every edge is evaluated by the same kernel regardless of the
-// worker count and no edge is touched twice, so the result is bit-identical
-// to the serial path. workers <= 1 or fewer than ParallelMinEdges edges fall
-// back to the serial loop.
-func (a *Assembler) EdgeConductancesWorkers(kind Kind, T, dst []float64, workers int) {
-	g := a.Grid
-	ne := g.NumEdges()
-	if len(dst) != ne {
-		panic("fit: EdgeConductancesWorkers dst length mismatch")
-	}
-	if T != nil && len(T) < g.NumNodes() {
-		panic("fit: EdgeConductancesWorkers temperature vector too short")
-	}
-	workers = sparse.ClampWorkers(workers, ne)
-	if workers <= 1 || ne < ParallelMinEdges {
-		a.edgeConductancesRange(kind, T, dst, 0, ne)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := ne * w / workers
-		hi := ne * (w + 1) / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			a.edgeConductancesRange(kind, T, dst, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MassDiag returns a copy of the lumped thermal capacitance diagonal Mρc

@@ -19,9 +19,8 @@ type Branch struct {
 // values for a new conductance vector. This is what makes the repeated
 // nonlinear/Monte-Carlo assemblies cheap.
 type Operator struct {
-	n        int
-	branches []Branch
-	mat      *sparse.CSR
+	n   int
+	mat *sparse.CSR
 	// For branch b: value-array positions of (n1,n1), (n2,n2), (n1,n2), (n2,n1).
 	pos [][4]int
 	// Value-array positions of the diagonal, for AddDiag.
@@ -30,7 +29,8 @@ type Operator struct {
 
 // NewOperator builds the pattern for nDOF unknowns and the given branches.
 // Every diagonal entry is part of the pattern even for isolated DOFs, so
-// mass terms and boundary conductances can always be added.
+// mass terms and boundary conductances can always be added. The pattern is
+// final here: SetValues and AddDiag only restamp values.
 func NewOperator(nDOF int, branches []Branch) (*Operator, error) {
 	b := sparse.NewBuilder(nDOF, nDOF)
 	for i, br := range branches {
@@ -45,7 +45,7 @@ func NewOperator(nDOF int, branches []Branch) (*Operator, error) {
 	for i := 0; i < nDOF; i++ {
 		b.Add(i, i, 0)
 	}
-	op := &Operator{n: nDOF, branches: append([]Branch(nil), branches...), mat: b.ToCSR()}
+	op := &Operator{n: nDOF, mat: b.ToCSR()}
 	op.pos = make([][4]int, len(branches))
 	for i, br := range branches {
 		p11, ok1 := op.mat.Find(br.N1, br.N1)
@@ -65,28 +65,13 @@ func NewOperator(nDOF int, branches []Branch) (*Operator, error) {
 		}
 		op.diagPos[i] = p
 	}
-	// The pattern is final here — SetValues/AddDiag only restamp values — so
-	// select the cache-blocked matvec layout once at assembly time. Every
-	// matvec on this operator (CG inner loops included) then runs the blocked
-	// kernel, bit-identical to the scalar reference by the shared canonical
-	// summation order.
-	op.mat.Optimize()
 	return op, nil
 }
 
-// NumDOF returns the number of unknowns.
-func (op *Operator) NumDOF() int { return op.n }
-
-// NumBranches returns the number of branches.
-func (op *Operator) NumBranches() int { return len(op.branches) }
-
-// Branches returns the branch topology (shared slice; do not modify).
-func (op *Operator) Branches() []Branch { return op.branches }
-
 // SetValues zeroes the matrix and stamps conductance g[b] for every branch b.
 func (op *Operator) SetValues(g []float64) {
-	if len(g) != len(op.branches) {
-		panic(fmt.Sprintf("fit: SetValues got %d conductances for %d branches", len(g), len(op.branches)))
+	if len(g) != len(op.pos) {
+		panic(fmt.Sprintf("fit: SetValues got %d conductances for %d branches", len(g), len(op.pos)))
 	}
 	op.mat.Zero()
 	v := op.mat.Val

@@ -205,15 +205,6 @@ func (l *Library) IDByName(name string) (int, bool) {
 	return id, ok
 }
 
-// Names returns the material names in ID order.
-func (l *Library) Names() []string {
-	out := make([]string, len(l.models))
-	for i, m := range l.models {
-		out[i] = m.Name()
-	}
-	return out
-}
-
 // Validate checks physical plausibility of all models at a few temperatures.
 func (l *Library) Validate() error {
 	for id, m := range l.models {

@@ -1,7 +1,7 @@
-// Package pool is the ordered worker pool of the campaign and rare-event
-// engines: worker goroutines evaluate an index range and the caller folds
-// the results in strict index order, so every fold is bit-identical for any
-// worker count.
+// Package pool is the ordered worker pool of the campaign, rare-event and
+// scenario engines: worker goroutines evaluate an index range and the
+// caller folds the results in strict index order, so every fold is
+// bit-identical for any worker count.
 package pool
 
 import (
@@ -67,6 +67,18 @@ func Run[W, R any](ctx context.Context, workers []W, lo, hi int, eval func(w W, 
 	return run(ctx, workers, lo, hi, grow, eval, fold)
 }
 
+// RunEach is Run with every claim exactly one index. It suits evaluations
+// whose costs differ by orders of magnitude, such as scenarios of which
+// some fail validation at once and others run a transient: an instant
+// index never grows the claim that would take the heavy indices after it
+// onto one worker.
+func RunEach[W, R any](ctx context.Context, workers []W, lo, hi int, eval func(w W, i int, r *R) error, fold func(i int, r *R) bool) error {
+	return run(ctx, workers, lo, hi, one, eval, fold)
+}
+
+// one is RunEach's range-sizing rule.
+func one(int, time.Duration) int { return 1 }
+
 // grow is the range-sizing rule: the next claim after a range of n indices
 // (0 before the first) that took d.
 func grow(n int, d time.Duration) int {
@@ -99,8 +111,8 @@ type dispatch[W, R any] struct {
 	free    chan *batch[R]
 }
 
-// run is Run with the range-sizing rule as a parameter, so tests can force
-// range lengths (at most maxRange).
+// run is Run with the range-sizing rule as a parameter, so RunEach and
+// tests can fix range lengths (at most maxRange).
 func run[W, R any](ctx context.Context, workers []W, lo, hi int, size func(int, time.Duration) int, eval func(W, int, *R) error, fold func(int, *R) bool) error {
 	if lo >= hi {
 		return nil

@@ -317,6 +317,35 @@ func claimSizes(t *testing.T, hi int, eval func()) []int {
 	return got
 }
 
+// TestRunEachClaimsOneIndex: index 0 returns as soon as index 1 has
+// started on the other worker, and indices 2 and 3 each wait until the
+// other has started. Growing ranges would hand the worker of the instant
+// index 0 the range [2, 4) and wedge; one-index claims complete.
+func TestRunEachClaimsOneIndex(t *testing.T) {
+	started := [4]chan struct{}{1: make(chan struct{}), 2: make(chan struct{}), 3: make(chan struct{})}
+	guard(t, func() {
+		fold, next := orderedFold(t, 0)
+		err := RunEach(context.Background(), workersOf(2), 0, 4,
+			func(_ int, i int, r *int) error {
+				switch i {
+				case 0:
+					<-started[1]
+				case 1:
+					close(started[1])
+					time.Sleep(10 * time.Millisecond)
+				case 2, 3:
+					close(started[i])
+					<-started[5-i]
+				}
+				*r = 3*i + 1
+				return nil
+			}, fold)
+		if err != nil || next() != 4 {
+			t.Errorf("RunEach returned %v after folding up to %d", err, next())
+		}
+	})
+}
+
 // TestSlowModelClaimsOneIndex: a model that takes 2 ms per evaluation
 // must never be claimed in ranges, or one worker would sit on several
 // finite-element samples while another idles; a no-op model grows its

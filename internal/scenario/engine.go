@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"etherm/internal/panicsafe"
+	"etherm/internal/pool"
 )
 
 // EventPhase labels engine progress events.
@@ -160,32 +159,21 @@ func (e *Engine) Run(ctx context.Context, b *Batch) (*BatchResult, error) {
 	start := time.Now()
 	hit := e.cacheHits(b)
 	results := make([]*ScenarioResult, n)
-	idx := make(chan int)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					results[i] = failedResult(i, b.Scenarios[i], ctx.Err())
-					continue
-				}
-				r := e.runScenario(ctx, i, b.Scenarios[i], sampleWorkers)
-				r.CacheHit = r.OK && hit[i]
-				results[i] = r
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if canceled.Load() {
-		return nil, ctx.Err()
+	// One scenario per claim: a scenario that fails validation returns at
+	// once and must not take the next ones along onto its worker.
+	err := pool.RunEach(ctx, make([]struct{}, workers), 0, n,
+		func(_ struct{}, i int, r **ScenarioResult) error {
+			res := e.runScenario(ctx, i, b.Scenarios[i], sampleWorkers)
+			res.CacheHit = res.OK && hit[i]
+			*r = res
+			return nil
+		},
+		func(i int, r **ScenarioResult) bool {
+			results[i] = *r
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &BatchResult{

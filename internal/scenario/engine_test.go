@@ -132,10 +132,10 @@ func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
 }
 
 // TestV1SolverKnobsAreNoOps pins the v1 contract of the removed solver
-// features: a document carrying precision, deflation, deflation_block and
-// precond_refresh validates and runs to results byte-identical to the same
-// document without them, on both the strict (MIC0) and the ensemble (ICT)
-// thermal factorization.
+// features: a document carrying precision, deflation, deflation_block,
+// precond_refresh and solver_workers validates and runs to results
+// byte-identical to the same document without them, on both the strict
+// (MIC0) and the ensemble (ICT) thermal factorization.
 func TestV1SolverKnobsAreNoOps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled-field batch is seconds-scale")
@@ -164,7 +164,7 @@ func TestV1SolverKnobsAreNoOps(t *testing.T) {
 		}
 		return summaryJSON(t, res)
 	}
-	with := run(`, "precision": "mixed", "deflation": true, "deflation_block": 64, "precond_refresh": 0.5`)
+	with := run(`, "precision": "mixed", "deflation": true, "deflation_block": 64, "precond_refresh": 0.5, "solver_workers": 4`)
 	without := run("")
 	if with != without {
 		t.Errorf("v1 solver knobs changed the results:\nwith:    %s\nwithout: %s", with, without)
@@ -248,6 +248,56 @@ func TestEngineFailureIsolation(t *testing.T) {
 	}
 	if res.Scenarios[2].NumWires != 2 {
 		t.Errorf("pair-restricted scenario simulated %d wires, want 2", res.Scenarios[2].NumWires)
+	}
+}
+
+// TestEngineClaimsOneScenarioAtATime: a scenario that fails at once must
+// not take the next scenarios along onto its worker. Index 0 fails
+// validation while index 1 runs; indices 2 and 3 each hold in their start
+// event until the other has started, which only completes when they run
+// on different workers.
+func TestEngineClaimsOneScenarioAtATime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled-field batch is seconds-scale")
+	}
+	started := map[int]chan struct{}{2: make(chan struct{}), 3: make(chan struct{})}
+	abort := make(chan struct{})
+	e := NewEngine()
+	e.OnEvent = func(ev Event) {
+		if ev.Phase != PhaseStart || started[ev.Index] == nil {
+			return
+		}
+		close(started[ev.Index])
+		select {
+		case <-started[5-ev.Index]:
+		case <-abort:
+		}
+	}
+	b := &Batch{Workers: 2, Scenarios: []Scenario{
+		{Name: "broken", Chip: ChipSpec{Preset: "nope"}, Sim: fastSim},
+		{Name: "ok", Chip: ChipSpec{HMaxM: testHMax}, Sim: fastSim},
+		{Name: "held-a", Chip: ChipSpec{HMaxM: testHMax}, Sim: fastSim},
+		{Name: "held-b", Chip: ChipSpec{HMaxM: testHMax, DriveScale: 0.9}, Sim: fastSim},
+	}}
+	var res *BatchResult
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = e.Run(context.Background(), b)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		close(abort)
+		<-done
+		t.Fatal("scenarios 2 and 3 never ran side by side: one worker claimed both")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedCount != 1 || res.Scenarios[0].OK {
+		t.Fatalf("want only the broken scenario failed, got %d failures: %+v", res.FailedCount, res.Failed())
 	}
 }
 

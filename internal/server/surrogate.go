@@ -66,13 +66,6 @@ func (s *Server) persistSurrogateLocked(id string) error {
 	return err
 }
 
-// persistSurrogate is persistSurrogateLocked taking the lock.
-func (s *Server) persistSurrogate(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.persistSurrogateLocked(id)
-}
-
 // recoverSurrogates rebuilds the surrogate table from the store: ready
 // models deserialize straight into the serving cache (no FEM work),
 // interrupted builds requeue from their retained spec, failed ones come

@@ -147,9 +147,6 @@ func NewMIC0(a *sparse.CSR, omega float64) (*IC0Prec, error) {
 	return p, nil
 }
 
-// Omega returns the modified-IC relaxation the factor was built with.
-func (p *IC0Prec) Omega() float64 { return p.omega }
-
 // Refresh refactorizes in place for the current numeric values of a, which
 // must have the sparsity pattern the factor was extracted from (same matrix
 // object, or an identical pattern). It allocates nothing; on a failed pivot

@@ -208,47 +208,6 @@ func TestCGWithZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCGWorkersBitIdentical runs the same solves serially and with the
-// parallel matvec enabled and requires bit-identical solutions and
-// trajectories for 1, 2 and 8 workers.
-func TestCGWorkersBitIdentical(t *testing.T) {
-	// Large enough to clear sparse.ParallelMinNNZ so the blocked path
-	// actually engages.
-	a := poisson2D(80, 1e-2)
-	if a.NNZ() < sparse.ParallelMinNNZ {
-		t.Fatalf("test matrix too small (%d nnz) to exercise the parallel path", a.NNZ())
-	}
-	rng := rand.New(rand.NewPCG(29, 30))
-	rhs := make([]float64, a.Rows)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	ic, err := NewMIC0(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := make([]float64, a.Rows)
-	refStats, err := CG(a, rhs, ref, ic, Options{Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		x := make([]float64, a.Rows)
-		st, err := CG(a, rhs, x, ic, Options{Tol: 1e-11, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Iterations != refStats.Iterations || st.Residual != refStats.Residual {
-			t.Errorf("workers=%d: trajectory diverged: %+v vs %+v", workers, st, refStats)
-		}
-		for i := range x {
-			if x[i] != ref[i] {
-				t.Fatalf("workers=%d: x[%d] = %g differs from serial %g", workers, i, x[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestJacobiRefresh checks the in-place Jacobi refresh tracks new values.
 func TestJacobiRefresh(t *testing.T) {
 	a := sparse.DiagCSR([]float64{2, 4, 8})

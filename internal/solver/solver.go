@@ -163,12 +163,6 @@ func (p *JacobiPrec) Apply(dst, r []float64) {
 type Options struct {
 	Tol     float64 // relative residual target; default 1e-10
 	MaxIter int     // default 10·n
-	// Workers enables the row-blocked parallel matvec inside the Krylov loop
-	// when > 1 (clamped to GOMAXPROCS, serial below sparse.ParallelMinNNZ).
-	// The parallel matvec is bit-identical to the serial one, so the solve
-	// trajectory — iterates, iteration count, residuals — does not depend on
-	// the worker count.
-	Workers int
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -239,9 +233,8 @@ func CGWith(ws *Workspace, a *sparse.CSR, b, x []float64, m Preconditioner, opt 
 	}
 	ws.ensure(n)
 	r, z, p, ap := ws.r[:n], ws.z[:n], ws.p[:n], ws.ap[:n]
-	parallel := opt.Workers > 1 && a.NNZ() >= sparse.ParallelMinNNZ
 
-	a.MulVecWorkers(r, x, opt.Workers)
+	a.MulVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
@@ -280,13 +273,7 @@ func CGWith(ws *Workspace, a *sparse.CSR, b, x []float64, m Preconditioner, opt 
 				}
 			}
 		}
-		var pap float64
-		if parallel {
-			a.MulVecWorkers(ap, p, opt.Workers)
-			pap = sparse.Dot(p, ap)
-		} else {
-			pap = mulVecDot(a, ap, p)
-		}
+		pap := mulVecDot(a, ap, p)
 		if math.IsNaN(pap) || math.IsInf(pap, 0) {
 			return Stats{Iterations: it, Residual: math.NaN()},
 				&SolveError{Method: "cg", Reason: ReasonNaN, Iteration: it,
@@ -339,12 +326,10 @@ func CGWith(ws *Workspace, a *sparse.CSR, b, x []float64, m Preconditioner, opt 
 }
 
 // mulVecDot computes dst = A x and returns xᵀ dst in one pass over the
-// matrix, accumulating the dot product in the same row order as computing
-// the matvec and sparse.Dot separately.
+// matrix, summing each row in the canonical order of sparse.CSR.MulVec and
+// the dot product in ascending row order, bit-identical to a matvec
+// followed by sparse.Dot.
 func mulVecDot(a *sparse.CSR, dst, x []float64) float64 {
-	if p := a.Plan(); p != nil {
-		return p.MulVecDot(a.Val, dst, x)
-	}
 	dot := 0.0
 	for i := 0; i < a.Rows; i++ {
 		klo, khi := a.RowPtr[i], a.RowPtr[i+1]

@@ -129,11 +129,6 @@ type CSR struct {
 	RowPtr     []int
 	ColIdx     []int
 	Val        []float64
-
-	// plan is the optional cache-blocked kernel layout built by Optimize;
-	// MulVec and MulVecWorkers route through it when present. It is not
-	// copied by Clone.
-	plan *Plan
 }
 
 // NNZ returns the number of stored entries.
@@ -146,10 +141,6 @@ func (a *CSR) MulVec(dst, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: A is %d×%d, dst %d, x %d",
 			a.Rows, a.Cols, len(dst), len(x)))
 	}
-	if p := a.Plan(); p != nil {
-		p.MulVec(a.Val, dst, x)
-		return
-	}
 	a.mulVecRows(dst, x, 0, a.Rows)
 }
 
@@ -157,9 +148,8 @@ func (a *CSR) MulVec(dst, x []float64) {
 // summation order: four strided accumulators over groups of four entries,
 // remainder into the first, combined as (s0+s1)+(s2+s3). The independent
 // accumulators hide the ~4-cycle add latency that a single left-to-right
-// chain pays per entry. Every matvec kernel in this package — serial,
-// row-blocked parallel, cache-blocked plan — sums rows in exactly this
-// order, which is what makes all the paths bit-identical.
+// chain pays per entry. MulVec, MulVecWorkers and the solver's fused
+// matvec-dot all sum rows in exactly this order, so they are bit-identical.
 func (a *CSR) mulVecRows(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		klo, khi := a.RowPtr[i], a.RowPtr[i+1]
@@ -178,8 +168,8 @@ func (a *CSR) mulVecRows(dst, x []float64, lo, hi int) {
 	}
 }
 
-// ParallelMinNNZ is the matrix size (stored entries) below which the
-// row-blocked parallel matvec falls back to the serial loop: smaller systems
+// ParallelMinNNZ is the matrix size (stored entries) below which
+// MulVecWorkers falls back to the serial loop: smaller systems
 // lose more to goroutine scheduling than they gain from the extra cores.
 const ParallelMinNNZ = 16384
 
@@ -188,15 +178,13 @@ const ParallelMinNNZ = 16384
 // Every row is summed by the same kernel in the same order as MulVec, and no
 // row is touched by two workers, so the result is bit-identical to the serial
 // path for every worker count. workers <= 1 or fewer than ParallelMinNNZ
-// stored entries fall back to the serial loop.
+// stored entries fall back to the serial loop. Nothing in the solver calls
+// it: CG runs serial MulVec and leaves the cores to the sample and scenario
+// pools. It remains as the two-worker kernel probe of the benchmark harness.
 func (a *CSR) MulVecWorkers(dst, x []float64, workers int) {
 	if len(dst) != a.Rows || len(x) != a.Cols {
 		panic(fmt.Sprintf("sparse: MulVecWorkers dimension mismatch: A is %d×%d, dst %d, x %d",
 			a.Rows, a.Cols, len(dst), len(x)))
-	}
-	if p := a.Plan(); p != nil {
-		p.MulVecWorkers(a.Val, dst, x, workers)
-		return
 	}
 	workers = ClampWorkers(workers, a.Rows)
 	if workers <= 1 || a.NNZ() < ParallelMinNNZ {
@@ -311,7 +299,7 @@ func (a *CSR) Scale(s float64) {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy of the pattern and the values.
 func (a *CSR) Clone() *CSR {
 	c := &CSR{Rows: a.Rows, Cols: a.Cols,
 		RowPtr: append([]int(nil), a.RowPtr...),

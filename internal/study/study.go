@@ -117,11 +117,6 @@ func (m *WireTempModel) Deltas(z []float64) []float64 {
 	return out
 }
 
-// InputDists returns the standard-normal germ distributions for this model.
-func (m *WireTempModel) InputDists() []uq.Dist {
-	return GermDists(m.nWires, m.Rho)
-}
-
 // NumOutputs implements uq.Model.
 func (m *WireTempModel) NumOutputs() int { return m.nWires * m.nTimes }
 
