@@ -38,9 +38,10 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 all: build
 
-# verify is the fast tier-1 gate mirrored by CI's verify job; race,
+# verify is the fast tier-1 gate mirrored by CI's verify job, which also
+# runs cli-smoke (the only step of that job verify leaves out); race,
 # staticcheck and bench-gate are the heavier CI jobs, runnable locally too.
-verify: build vet fmt-check openapi-check test
+verify: build vet fmt-check openapi-check test bench-test
 
 build:
 	$(GO) build ./...

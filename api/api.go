@@ -7,11 +7,12 @@
 //
 // The package depends only on the standard library and exposes no
 // internal/ type in any exported signature, so external programs can
-// import it (and the matching Go SDK in package client) directly. The
-// JSON shape of every type is frozen per API version and conformance
-// tests in internal/apiconv pin it field-for-field against the engine's
-// internal types — adding a field is a compatible change, renaming or
-// removing one requires a new version.
+// import it (and the matching Go SDK in package client) directly. It is
+// the only definition of the wire format: the engine refers to these
+// types by alias, and tests in internal/apiconv fail if a copy is
+// declared again. The JSON shape of every type is frozen per API version
+// — adding a field is a compatible change, renaming or removing one
+// requires a new version.
 package api
 
 import "fmt"

@@ -14,7 +14,6 @@ import (
 
 	"etherm/api"
 	"etherm/client"
-	"etherm/internal/apiconv"
 	"etherm/internal/faultinject"
 	"etherm/internal/fleet"
 	"etherm/internal/scenario"
@@ -115,12 +114,8 @@ func runChaosFleet(ctx context.Context, cl *client.Client, base string, ch *chao
 	spec := chaosFleetScenario()
 
 	// The clean local reference through the engine's sharded path.
-	scen, err := apiconv.ScenarioToInternal(spec)
-	if err != nil {
-		return err
-	}
 	eng := scenario.NewEngine()
-	ref, err := eng.Run(ctx, &scenario.Batch{Scenarios: []scenario.Scenario{scen}})
+	ref, err := eng.Run(ctx, &scenario.Batch{Scenarios: []scenario.Scenario{*spec}})
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
@@ -180,11 +175,7 @@ func runChaosFleet(ctx context.Context, cl *client.Client, base string, ch *chao
 	if final.Status != api.JobDone || final.Result == nil {
 		return fmt.Errorf("chaos fleet job finished as %s (%s)", final.Status, final.Error)
 	}
-	internal, err := apiconv.ScenarioResultToInternal(final.Result)
-	if err != nil {
-		return err
-	}
-	got, err := canonicalScenarioResult(internal)
+	got, err := canonicalScenarioResult(final.Result)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package apiconv
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"reflect"
 	"testing"
 
 	"etherm/api"
@@ -50,69 +52,37 @@ func fullScenario() scenario.Scenario {
 	}
 }
 
-// fullScenarioResult populates every field of the internal result.
-func fullScenarioResult() *scenario.ScenarioResult {
-	cross, cross6, failP, pfail := 12.5, 9.25, 0.125, 0.015625
-	return &scenario.ScenarioResult{
-		Index: 3, Name: "full", Description: "conformance fixture",
-		OK: true, Error: "isolated failure text", CacheHit: true, ElapsedS: 1.5,
-		GridNodes: 1024, NumWires: 12, Method: scenario.MethodMonteCarlo,
-		Samples: 8, Failures: 1, Evaluations: 5,
-		Streamed: true, StopReason: "budget", RequestedSamples: 8, Shards: 2,
-		HotWire: 4, HotWireName: "w5", HotWireSide: "left",
-		TEndMaxK: 450.5, SigmaK: 3.25, ErrorMCK: 1.125,
-		TCritK: 523, CrossMeanS: &cross, Cross6SigS: &cross6,
-		ExceedProb: 0.0625, FailProbEmp: &failP, TObsMaxK: 533.5,
-		DamageHot: 0.5, PTotalEndW: 2.25,
-		RareEstimator: scenario.EstimatorSubset, PFail: &pfail, PFailCoV: 0.25,
-		RareConverged: true,
-		RareLevels: []scenario.RareLevel{
-			{Level: 0, ThresholdK: 510.5, Accept: 0.5, CondProb: 0.125, Evals: 20},
-		},
-		TimesS: []float64{0, 1}, HotMeanK: []float64{300, 400.0625}, HotSigmaK: []float64{0, 1.5},
+// sameType fails the test unless the engine's name for a wire type is the
+// api type itself: a field list declared again outside api would need a
+// conversion, which is what this package no longer does.
+func sameType(t *testing.T, engine, wire any) {
+	t.Helper()
+	if e, w := reflect.TypeOf(engine), reflect.TypeOf(wire); e != w {
+		t.Errorf("engine type %v is not the wire type %v", e, w)
 	}
 }
 
-// TestScenarioShapeConformance pins the wire shape of scenario
-// declarations field-for-field in both directions.
+// TestScenarioShapeConformance: the engine's scenario declaration is the
+// wire declaration.
 func TestScenarioShapeConformance(t *testing.T) {
-	in := fullScenario()
-	wire, err := ScenarioToAPI(in)
-	if err != nil {
-		t.Fatalf("internal scenario does not fit api.Scenario: %v", err)
-	}
-	back, err := ScenarioToInternal(&wire)
-	if err != nil {
-		t.Fatalf("api.Scenario does not fit internal scenario: %v", err)
-	}
-	a, _ := json.Marshal(in)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Errorf("scenario round trip not byte-identical:\n%s\nvs\n%s", a, b)
-	}
+	sameType(t, scenario.Scenario{}, api.Scenario{})
+	sameType(t, scenario.ChipSpec{}, api.ChipSpec{})
+	sameType(t, config.SimConfig{}, api.SimSpec{})
+	sameType(t, scenario.UQSpec{}, api.UQSpec{})
 }
 
-// TestBatchShapeConformance covers the batch envelope plus a fully
-// populated api-side construction decoding into the engine's validator.
+// TestBatchShapeConformance: the engine's batch is api.Batch under its own
+// deep Validate — convertible, but a distinct type, since an alias would
+// inherit the shallow api.Batch.Validate — and an api.Batch marshal parses
+// through the server's strict parser.
 func TestBatchShapeConformance(t *testing.T) {
-	in := &scenario.Batch{
-		Name: "b", Workers: 2, SampleWorkers: 3,
-		Scenarios: []scenario.Scenario{fullScenario()},
+	e, w := reflect.TypeOf(scenario.Batch{}), reflect.TypeOf(api.Batch{})
+	if !e.ConvertibleTo(w) || !w.ConvertibleTo(e) {
+		t.Errorf("%v and %v do not convert into each other", e, w)
 	}
-	wire, err := BatchToAPI(in)
-	if err != nil {
-		t.Fatalf("internal batch does not fit api.Batch: %v", err)
+	if e == w {
+		t.Errorf("%v is an alias of %v: the engine's deep Validate would be lost", e, w)
 	}
-	back, err := BatchToInternal(wire)
-	if err != nil {
-		t.Fatalf("api.Batch does not fit internal batch: %v", err)
-	}
-	a, _ := json.Marshal(in)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Errorf("batch round trip not byte-identical:\n%s\nvs\n%s", a, b)
-	}
-	// The api.Batch marshal must parse through the server's strict parser.
 	// fullScenario deliberately over-constrains its UQ spec (sharding plus
 	// adaptive stopping, rare-event knobs alongside a sampling method) so
 	// every wire field is non-zero; the parser sees semantically valid
@@ -129,10 +99,7 @@ func TestBatchShapeConformance(t *testing.T) {
 		P0: 0.2, LevelSamples: 20, MaxLevels: 5, MCMCStep: 0.8,
 		Seed: 3, CriticalK: 523,
 	}
-	valid, err := BatchToAPI(&scenario.Batch{Scenarios: []scenario.Scenario{sampling, rare}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := &api.Batch{Scenarios: []api.Scenario{sampling, rare}}
 	data, err := json.Marshal(valid)
 	if err != nil {
 		t.Fatal(err)
@@ -142,26 +109,36 @@ func TestBatchShapeConformance(t *testing.T) {
 	}
 }
 
-// TestResultShapeConformance pins scenario/batch results.
+// TestResultShapeConformance: the engine's results are the wire results.
 func TestResultShapeConformance(t *testing.T) {
-	in := &scenario.BatchResult{
-		Name:      "b",
-		Scenarios: []*scenario.ScenarioResult{fullScenarioResult()},
-		Workers:   2, SampleWorkers: 3,
-		CacheHits: 4, CacheMisses: 5, CacheEntries: 6, FailedCount: 1, ElapsedS: 2.5,
-	}
-	wire, err := BatchResultToAPI(in)
-	if err != nil {
-		t.Fatalf("internal batch result does not fit api.BatchResult: %v", err)
-	}
-	back, err := ScenarioResultToInternal(wire.Scenarios[0])
-	if err != nil {
-		t.Fatalf("api.ScenarioResult does not fit internal result: %v", err)
-	}
-	a, _ := json.Marshal(in.Scenarios[0])
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Errorf("scenario result round trip not byte-identical:\n%s\nvs\n%s", a, b)
+	sameType(t, scenario.BatchResult{}, api.BatchResult{})
+	sameType(t, scenario.ScenarioResult{}, api.ScenarioResult{})
+	sameType(t, scenario.RareLevel{}, api.RareLevel{})
+}
+
+// TestDecodeRequest pins the status a request body gets: 400 for what
+// json.Unmarshal rejects too, 422 for a field the target does not declare.
+func TestDecodeRequest(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want int // 0 = accepted
+	}{
+		{`{"name":"x","chip":{"hmax_m":1}}`, 0},
+		{`{"name":"x"}` + "\n", 0},
+		{`}{`, http.StatusBadRequest},
+		{``, http.StatusBadRequest},
+		{`{"name":"x"} {}`, http.StatusBadRequest},
+		{`{"name":"x","uq":{"samples":"4"}}`, http.StatusBadRequest},
+		{`{"name":"x","chip":{"hmaxx":1}}`, http.StatusUnprocessableEntity},
+	} {
+		var s api.Scenario
+		e := DecodeRequest([]byte(tc.body), &s)
+		switch {
+		case tc.want == 0 && e != nil:
+			t.Errorf("%q rejected: %v", tc.body, e)
+		case tc.want != 0 && (e == nil || e.Status != tc.want):
+			t.Errorf("%q: got %v, want status %d", tc.body, e, tc.want)
+		}
 	}
 }
 
@@ -222,21 +199,24 @@ func TestShardResultBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanConversion covers the shard plan mirror.
+// TestPlanConversion covers the shard plan's pointer conversion onto the
+// wire: same fields, same bytes, nil stays nil.
 func TestPlanConversion(t *testing.T) {
 	p, err := uq.PlanShards(100, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := PlanToAPI(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := (*api.ShardPlan)(p)
 	if wire.MaxSamples != 100 || wire.BlockSize != 8 || wire.NumShards != 4 {
 		t.Errorf("plan conversion lost fields: %+v", wire)
 	}
-	if nilPlan, err := PlanToAPI(nil); err != nil || nilPlan != nil {
-		t.Errorf("nil plan should convert to nil, got %+v (%v)", nilPlan, err)
+	a, _ := json.Marshal(p)
+	b, _ := json.Marshal(wire)
+	if string(a) != string(b) {
+		t.Errorf("plan encodes differently on the wire:\n%s\nvs\n%s", a, b)
+	}
+	if nilPlan := (*api.ShardPlan)((*uq.ShardPlan)(nil)); nilPlan != nil {
+		t.Errorf("nil plan should convert to nil, got %+v", nilPlan)
 	}
 }
 

@@ -5,38 +5,15 @@ import (
 	"etherm/internal/surrogate"
 )
 
-// SurrogateQueryToInternal converts a wire surrogate query into the
-// engine's type.
+// SurrogateQueryToInternal returns a copy of a wire surrogate query. Only
+// the benchmark harness calls it.
 func SurrogateQueryToInternal(q *api.SurrogateQuery) (surrogate.Query, error) {
-	var out surrogate.Query
-	err := Strict(q, &out)
-	return out, err
+	return *q, nil
 }
 
-// SurrogateQueryToAPI converts an engine surrogate query into its wire
-// form.
-func SurrogateQueryToAPI(q surrogate.Query) (*api.SurrogateQuery, error) {
-	var out api.SurrogateQuery
-	err := Strict(q, &out)
-	return &out, err
-}
-
-// SurrogateAnswerToAPI converts an engine surrogate answer into its wire
-// form.
+// SurrogateAnswerToAPI returns a copy of a surrogate answer. Only the
+// benchmark harness calls it.
 func SurrogateAnswerToAPI(a *surrogate.Answer) (*api.SurrogateAnswer, error) {
-	var out api.SurrogateAnswer
-	if err := Strict(a, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// SurrogateAnswerToInternal converts a wire answer back into the engine's
-// type (the round-trip direction of the conformance tests).
-func SurrogateAnswerToInternal(a *api.SurrogateAnswer) (*surrogate.Answer, error) {
-	var out surrogate.Answer
-	if err := Strict(a, &out); err != nil {
-		return nil, err
-	}
+	out := *a
 	return &out, nil
 }

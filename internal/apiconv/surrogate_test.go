@@ -8,65 +8,18 @@ import (
 	"etherm/internal/surrogate"
 )
 
-// fullSurrogateQuery populates every query field so a silently dropped or
-// renamed field breaks the byte comparison.
-func fullSurrogateQuery() surrogate.Query {
-	delta := 0.25
-	return surrogate.Query{
-		Quantiles: []float64{0.05, 0.5, 0.95},
-		TCritK:    533.5,
-		Delta:     &delta,
-		Sweep:     &surrogate.Sweep{From: 0.125, To: 0.375, Steps: 9},
-	}
-}
-
-// fullSurrogateAnswer populates every answer field.
-func fullSurrogateAnswer() *surrogate.Answer {
-	return &surrogate.Answer{
-		ID: "sg-0123456789abcdef", MeanK: 450.5, StdK: 3.25, HotWire: 4,
-		TCritK: 523, FailProb: 0.0625,
-		Quantiles:     []surrogate.QuantileValue{{Q: 0.05, TK: 445.25}, {Q: 0.95, TK: 456.75}},
-		Delta:         &surrogate.SweepPoint{Delta: 0.25, TK: 452.125},
-		Sweep:         []surrogate.SweepPoint{{Delta: 0.125, TK: 448.5}, {Delta: 0.375, TK: 455.5}},
-		ErrIndicatorK: 0.03125, Evaluations: 29,
-	}
-}
-
-// TestSurrogateQueryShapeConformance pins the query wire shape in both
-// directions, byte-for-byte.
+// TestSurrogateQueryShapeConformance: the engine's query is the wire query.
 func TestSurrogateQueryShapeConformance(t *testing.T) {
-	in := fullSurrogateQuery()
-	wire, err := SurrogateQueryToAPI(in)
-	if err != nil {
-		t.Fatalf("internal query does not fit api.SurrogateQuery: %v", err)
-	}
-	back, err := SurrogateQueryToInternal(wire)
-	if err != nil {
-		t.Fatalf("api.SurrogateQuery does not fit internal query: %v", err)
-	}
-	a, _ := json.Marshal(in)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Errorf("query round trip not byte-identical:\n%s\nvs\n%s", a, b)
-	}
+	sameType(t, surrogate.Query{}, api.SurrogateQuery{})
+	sameType(t, surrogate.Sweep{}, api.SurrogateSweep{})
 }
 
-// TestSurrogateAnswerShapeConformance pins the answer wire shape.
+// TestSurrogateAnswerShapeConformance: the engine's answer is the wire
+// answer, and its always-present fields stay on the wire at zero.
 func TestSurrogateAnswerShapeConformance(t *testing.T) {
-	in := fullSurrogateAnswer()
-	wire, err := SurrogateAnswerToAPI(in)
-	if err != nil {
-		t.Fatalf("internal answer does not fit api.SurrogateAnswer: %v", err)
-	}
-	back, err := SurrogateAnswerToInternal(wire)
-	if err != nil {
-		t.Fatalf("api.SurrogateAnswer does not fit internal answer: %v", err)
-	}
-	a, _ := json.Marshal(in)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Errorf("answer round trip not byte-identical:\n%s\nvs\n%s", a, b)
-	}
+	sameType(t, surrogate.Answer{}, api.SurrogateAnswer{})
+	sameType(t, surrogate.QuantileValue{}, api.SurrogateQuantile{})
+	sameType(t, surrogate.SweepPoint{}, api.SurrogateSweepPoint{})
 	// The indicator must stay visible even at zero — a surrogate whose
 	// indicator vanishes from the wire would look like it has no error
 	// estimate at all.

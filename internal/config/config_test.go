@@ -26,7 +26,7 @@ func TestValidationErrors(t *testing.T) {
 
 func TestCoreOptionsMaterialization(t *testing.T) {
 	s := SimConfig{EndTimeS: 50, NumSteps: 25, Coupling: "weak", Integrator: "bdf2"}
-	opt := s.CoreOptions(false)
+	opt := CoreOptions(s, false)
 	if opt.Coupling != core.WeakCoupling || opt.TimeIntegrator != core.BDF2 {
 		t.Error("coupling/integrator materialization wrong")
 	}
@@ -34,7 +34,7 @@ func TestCoreOptionsMaterialization(t *testing.T) {
 		t.Errorf("horizon lost: %g s over %d steps", opt.EndTime, opt.NumSteps)
 	}
 	// Ensemble options start from the fast profile.
-	if optE := (SimConfig{EndTimeS: 50, NumSteps: 25}).CoreOptions(true); optE.Nonlinear != core.NewtonLinearized {
+	if optE := CoreOptions(SimConfig{EndTimeS: 50, NumSteps: 25}, true); optE.Nonlinear != core.NewtonLinearized {
 		t.Error("ensemble options should start from FastOptions")
 	}
 }
@@ -47,7 +47,7 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o := s.CoreOptions(false)
+	o := CoreOptions(s, false)
 	if o.Precond != core.PrecondJacobi {
 		t.Error("precond selection lost")
 	}
@@ -56,18 +56,18 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 	}
 	noRefresh := s
 	noRefresh.PrecondRefresh = 0
-	if o != noRefresh.CoreOptions(false) {
+	if o != CoreOptions(noRefresh, false) {
 		t.Error("precond_refresh should be a no-op")
 	}
 	noWorkers := s
 	noWorkers.SolverWorkers = 0
 	for _, ensemble := range []bool{false, true} {
-		if s.CoreOptions(ensemble) != noWorkers.CoreOptions(ensemble) {
+		if CoreOptions(s, ensemble) != CoreOptions(noWorkers, ensemble) {
 			t.Errorf("solver_workers should be a no-op (ensemble=%v)", ensemble)
 		}
 	}
 	// Unset knobs keep the core defaults.
-	d := SimConfig{EndTimeS: 10, NumSteps: 5}.CoreOptions(false)
+	d := CoreOptions(SimConfig{EndTimeS: 10, NumSteps: 5}, false)
 	if d.Precond != core.PrecondIC0 || d.PrecondOmega != 0 {
 		t.Errorf("zero-value knobs should defer to core defaults: %+v", d)
 	}
@@ -96,11 +96,11 @@ func TestPrecisionAndDeflationKnobs(t *testing.T) {
 	}
 	plain := SimConfig{EndTimeS: 10, NumSteps: 5, Precond: "ict"}
 	for _, forEnsemble := range []bool{false, true} {
-		o := s.CoreOptions(forEnsemble)
+		o := CoreOptions(s, forEnsemble)
 		if o.Precond != core.PrecondICT {
 			t.Error("ict precond selection lost")
 		}
-		if want := plain.CoreOptions(forEnsemble); o != want {
+		if want := CoreOptions(plain, forEnsemble); o != want {
 			t.Errorf("ensemble=%v: v1 no-op knobs changed the core options:\n%+v\nvs\n%+v", forEnsemble, o, want)
 		}
 	}

@@ -19,19 +19,10 @@ import (
 	"sync"
 	"time"
 
+	"etherm/api"
 	"etherm/internal/jobstore"
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
-)
-
-// Shard lease states.
-const (
-	// ShardPending means the shard waits for a worker.
-	ShardPending = "pending"
-	// ShardLeased means a worker holds the shard under a live lease.
-	ShardLeased = "leased"
-	// ShardDone means the shard's result has been accepted.
-	ShardDone = "done"
 )
 
 // Job states.
@@ -61,41 +52,6 @@ const DefaultLeaseTTL = 30 * time.Second
 // DefaultMaxAttempts bounds how often a shard is (re-)leased before the
 // whole job is declared failed.
 const DefaultMaxAttempts = 3
-
-// ShardView is the public state of one shard of a job.
-type ShardView struct {
-	Shard    int    `json:"shard"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Status   string `json:"status"`
-	Worker   string `json:"worker,omitempty"`
-	Attempts int    `json:"attempts"`
-}
-
-// JobView is the public state of a fleet job: the scenario, its shard plan
-// and per-shard progress, plus the finalized result when done.
-type JobView struct {
-	ID         string            `json:"id"`
-	Status     string            `json:"status"`
-	Error      string            `json:"error,omitempty"`
-	Scenario   scenario.Scenario `json:"scenario"`
-	Plan       *uq.ShardPlan     `json:"plan"`
-	Shards     []ShardView       `json:"shards"`
-	ShardsDone int               `json:"shards_done"`
-	// Result is the finalized scenario result (set when Status is "done").
-	Result *scenario.ScenarioResult `json:"result,omitempty"`
-}
-
-// Assignment is what a worker receives from a successful lease call:
-// everything needed to run one shard, plus the lease it must keep alive.
-type Assignment struct {
-	JobID    string            `json:"job_id"`
-	LeaseID  string            `json:"lease_id"`
-	Shard    int               `json:"shard"`
-	LeaseTTL time.Duration     `json:"lease_ttl_ns"`
-	Plan     *uq.ShardPlan     `json:"plan"`
-	Scenario scenario.Scenario `json:"scenario"`
-}
 
 // ErrLeaseLost is returned on heartbeat/complete for a lease the
 // coordinator no longer recognizes (expired and re-leased, or the shard
@@ -179,14 +135,14 @@ func NewCoordinator(cache *scenario.AssemblyCache, ttl time.Duration) *Coordinat
 
 // Submit validates and plans a sharded streaming scenario and queues its
 // shards for leasing.
-func (c *Coordinator) Submit(s scenario.Scenario) (*JobView, error) {
+func (c *Coordinator) Submit(s scenario.Scenario) (*api.FleetJob, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if !s.UQ.Sharded() {
 		return nil, fmt.Errorf("fleet: scenario %q is not sharded (set uq.shards)", s.Name)
 	}
-	plan, err := s.ShardPlan()
+	plan, err := scenario.ShardPlan(s)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +158,7 @@ func (c *Coordinator) Submit(s scenario.Scenario) (*JobView, error) {
 	}
 	for k := 0; k < plan.NumShards; k++ {
 		start, end := plan.Shard(k)
-		j.shards = append(j.shards, &shardState{shard: k, start: start, end: end, status: ShardPending})
+		j.shards = append(j.shards, &shardState{shard: k, start: start, end: end, status: api.ShardPending})
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
@@ -245,8 +201,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		changed := false
 		for _, sh := range j.shards {
-			if sh.status == ShardLeased && now.After(sh.expiry) {
-				sh.status = ShardPending
+			if sh.status == api.ShardLeased && now.After(sh.expiry) {
+				sh.status = api.ShardPending
 				sh.worker = ""
 				sh.leaseID = ""
 				changed = true
@@ -263,7 +219,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 
 // Lease hands the oldest pending shard to a worker, or returns ok=false
 // when no work is available.
-func (c *Coordinator) Lease(workerID string) (*Assignment, bool) {
+func (c *Coordinator) Lease(workerID string) (*api.FleetLease, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.Now()
@@ -274,7 +230,7 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, bool) {
 			continue
 		}
 		for _, sh := range j.shards {
-			if sh.status != ShardPending {
+			if sh.status != api.ShardPending {
 				continue
 			}
 			if sh.attempts >= c.MaxAttempts {
@@ -284,15 +240,15 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, bool) {
 				break
 			}
 			c.lseq++
-			sh.status = ShardLeased
+			sh.status = api.ShardLeased
 			sh.worker = workerID
 			sh.leaseID = fmt.Sprintf("lease-%06d", c.lseq)
 			sh.expiry = now.Add(c.ttl)
 			sh.attempts++
 			c.persistLocked(j)
-			return &Assignment{
+			return &api.FleetLease{
 				JobID: j.id, LeaseID: sh.leaseID, Shard: sh.shard,
-				LeaseTTL: c.ttl, Plan: j.plan, Scenario: j.scen,
+				LeaseTTL: c.ttl, Plan: (*api.ShardPlan)(j.plan), Scenario: j.scen,
 			}, true
 		}
 	}
@@ -304,7 +260,7 @@ func (c *Coordinator) findLeaseLocked(leaseID string) (*job, *shardState) {
 	for _, id := range c.order {
 		j := c.jobs[id]
 		for _, sh := range j.shards {
-			if sh.leaseID == leaseID && sh.status == ShardLeased {
+			if sh.leaseID == leaseID && sh.status == api.ShardLeased {
 				return j, sh
 			}
 		}
@@ -348,7 +304,7 @@ func (c *Coordinator) Complete(leaseID string, res *uq.ShardResult) error {
 		c.mu.Unlock()
 		return fmt.Errorf("fleet: shard %d of job %s is incomplete (%d of %d samples)", sh.shard, j.id, res.Evaluated, sh.end-sh.start)
 	}
-	sh.status = ShardDone
+	sh.status = api.ShardDone
 	sh.result = res
 	sh.leaseID = ""
 	// Payload first, then the job record marking the shard done: a crash
@@ -357,7 +313,7 @@ func (c *Coordinator) Complete(leaseID string, res *uq.ShardResult) error {
 	c.persistLocked(j)
 	remaining := 0
 	for _, s := range j.shards {
-		if s.status != ShardDone {
+		if s.status != api.ShardDone {
 			remaining++
 		}
 	}
@@ -378,7 +334,7 @@ func (c *Coordinator) Fail(leaseID, msg string) error {
 	if sh == nil {
 		return ErrLeaseLost
 	}
-	sh.status = ShardPending
+	sh.status = api.ShardPending
 	sh.worker = ""
 	sh.leaseID = ""
 	if sh.attempts >= c.MaxAttempts {
@@ -453,8 +409,8 @@ func (c *Coordinator) Cancel(id string) error {
 		return fmt.Errorf("fleet: job %s already %s", id, j.status)
 	}
 	for _, sh := range j.shards {
-		if sh.status == ShardLeased {
-			sh.status = ShardPending
+		if sh.status == api.ShardLeased {
+			sh.status = api.ShardPending
 			sh.worker = ""
 			sh.leaseID = ""
 		}
@@ -469,17 +425,17 @@ func (c *Coordinator) Cancel(id string) error {
 }
 
 // viewLocked renders a job snapshot. Caller holds c.mu.
-func (c *Coordinator) viewLocked(j *job) *JobView {
-	v := &JobView{
-		ID: j.id, Status: j.status, Error: j.err,
-		Scenario: j.scen, Plan: j.plan, Result: j.result,
+func (c *Coordinator) viewLocked(j *job) *api.FleetJob {
+	v := &api.FleetJob{
+		ID: j.id, Status: api.JobStatus(j.status), Error: j.err,
+		Scenario: j.scen, Plan: (*api.ShardPlan)(j.plan), Result: j.result,
 	}
 	for _, sh := range j.shards {
-		v.Shards = append(v.Shards, ShardView{
+		v.Shards = append(v.Shards, api.ShardStatus{
 			Shard: sh.shard, Start: sh.start, End: sh.end,
 			Status: sh.status, Worker: sh.worker, Attempts: sh.attempts,
 		})
-		if sh.status == ShardDone {
+		if sh.status == api.ShardDone {
 			v.ShardsDone++
 		}
 	}
@@ -487,7 +443,7 @@ func (c *Coordinator) viewLocked(j *job) *JobView {
 }
 
 // Job returns a snapshot of one fleet job.
-func (c *Coordinator) Job(id string) (*JobView, bool) {
+func (c *Coordinator) Job(id string) (*api.FleetJob, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(c.Now())
@@ -499,11 +455,11 @@ func (c *Coordinator) Job(id string) (*JobView, bool) {
 }
 
 // Jobs returns snapshots of all fleet jobs in submission order.
-func (c *Coordinator) Jobs() []*JobView {
+func (c *Coordinator) Jobs() []*api.FleetJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(c.Now())
-	out := make([]*JobView, 0, len(c.order))
+	out := make([]*api.FleetJob, 0, len(c.order))
 	for _, id := range c.order {
 		out = append(out, c.viewLocked(c.jobs[id]))
 	}
@@ -511,7 +467,7 @@ func (c *Coordinator) Jobs() []*JobView {
 }
 
 // Wait blocks until the job reaches a terminal state or the context ends.
-func (c *Coordinator) Wait(ctx context.Context, id string) (*JobView, error) {
+func (c *Coordinator) Wait(ctx context.Context, id string) (*api.FleetJob, error) {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
 	c.mu.Unlock()

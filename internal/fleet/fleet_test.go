@@ -4,14 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"etherm/api"
 	"etherm/client"
-	"etherm/internal/apiconv"
 	"etherm/internal/config"
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
@@ -92,11 +93,7 @@ func TestFleetEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Submit over the wire through the SDK, exactly as a client would.
-	ws, err := apiconv.ScenarioToAPI(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := cl.SubmitFleetJob(ctx, &ws)
+	view, err := cl.SubmitFleetJob(ctx, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestFleetEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Shard progress is readable over the wire too, and the wire result —
-	// round-tripped through the public api types — stays bit-identical.
+	// decoded from its JSON — stays bit-identical.
 	wire, err := cl.GetFleetJob(ctx, view.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +129,7 @@ func TestFleetEndToEndOverHTTP(t *testing.T) {
 	if wire.Status != api.JobDone || wire.Result == nil {
 		t.Fatalf("GET job view incomplete: %+v", wire.Status)
 	}
-	back, err := apiconv.ScenarioResultToInternal(wire.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := canonical(t, back); got != want {
+	if got := canonical(t, wire.Result); got != want {
 		t.Errorf("wire fleet result differs from single-process run:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -258,7 +251,7 @@ func TestCoordinatorRejectsWrongShardResult(t *testing.T) {
 		t.Errorf("mismatched shard result: %v", err)
 	}
 	// The lease survives a bad post; an incomplete result is also rejected.
-	start, end := a.Plan.Shard(a.Shard)
+	start, end := (*uq.ShardPlan)(a.Plan).Shard(a.Shard)
 	short := &uq.ShardResult{Shard: a.Shard, Start: start, End: end, Evaluated: end - start - 1}
 	if err := coord.Complete(a.LeaseID, short); err == nil || errors.Is(err, ErrLeaseLost) {
 		t.Errorf("incomplete shard result: %v", err)
@@ -359,5 +352,55 @@ func TestCoordinatorCancelAndEviction(t *testing.T) {
 	}
 	if n := len(coord.Jobs()); n > 3 {
 		t.Errorf("history grew to %d jobs (cap 2 + running)", n)
+	}
+}
+
+// TestCoordinatorFailsJobAfterReportedFailures covers the /fail path of
+// the worker protocol: a shard a worker reports failed goes back to
+// pending and is leased again, until DefaultMaxAttempts reports fail the
+// job with the last reported error.
+func TestCoordinatorFailsJobAfterReportedFailures(t *testing.T) {
+	coord := NewCoordinator(nil, time.Minute)
+	mux := http.NewServeMux()
+	coord.Register(mux, api.FleetPrefix)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	cl := client.New(srv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	view, err := coord.Submit(chipScenario(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *api.FleetLease
+	for i := 1; i <= DefaultMaxAttempts; i++ {
+		lease, ok, err := cl.Lease(ctx, "failing-worker")
+		if err != nil || !ok {
+			t.Fatalf("lease %d: ok=%v err=%v", i, ok, err)
+		}
+		if lease.JobID != view.ID || lease.Shard != 0 {
+			t.Fatalf("lease %d: %+v", i, lease)
+		}
+		if err := cl.FailShard(ctx, lease.LeaseID, fmt.Sprintf("solver diverged on attempt %d", i)); err != nil {
+			t.Fatalf("fail report %d: %v", i, err)
+		}
+		last = lease
+	}
+	if _, ok, err := cl.Lease(ctx, "failing-worker"); err != nil || ok {
+		t.Fatalf("lease after the last attempt: ok=%v err=%v", ok, err)
+	}
+	final, err := coord.Wait(ctx, view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != JobFailed || !strings.Contains(final.Error, fmt.Sprintf("solver diverged on attempt %d", DefaultMaxAttempts)) {
+		t.Errorf("job %s (%q), want failed with the reported error", final.Status, final.Error)
+	}
+	if got := final.Shards[0].Attempts; got != DefaultMaxAttempts {
+		t.Errorf("shard attempts %d, want %d", got, DefaultMaxAttempts)
+	}
+	if err := cl.FailShard(ctx, last.LeaseID, "late report"); !api.IsLeaseLost(err) {
+		t.Errorf("fail report under a spent lease: %v, want lease-lost", err)
 	}
 }

@@ -14,17 +14,27 @@ import (
 // O(blocks × outputs) accumulator state, far below this).
 const maxBodyBytes = 64 << 20
 
-// readJSON decodes a request body into v, writing the problem+json error
-// itself when the body is oversized or malformed.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readBody reads a request body, writing the problem+json error itself
+// when the body is unreadable or oversized.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
-		return false
+		return nil, false
 	}
 	if len(body) > maxBodyBytes {
 		api.WriteError(w, r, api.NewError(http.StatusRequestEntityTooLarge, api.CodeTooLarge,
 			"request body exceeds the size limit"))
+		return nil, false
+	}
+	return body, true
+}
+
+// readJSON decodes a worker request body into v, writing the problem+json
+// error itself when the body is oversized or malformed.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := readBody(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -32,35 +42,6 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// ViewToAPI converts a coordinator job view into its wire form.
-func ViewToAPI(v *JobView) (*api.FleetJob, error) {
-	var out api.FleetJob
-	if err := apiconv.Strict(v, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// leaseToAPI converts a shard assignment into its wire form.
-func leaseToAPI(a *Assignment) (*api.FleetLease, error) {
-	var out api.FleetLease
-	if err := apiconv.Strict(a, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// writeView renders a job view, or a 500 problem when it does not fit the
-// wire contract (a conformance bug, caught by tests).
-func writeView(w http.ResponseWriter, r *http.Request, status int, v *JobView) {
-	out, err := ViewToAPI(v)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-		return
-	}
-	api.WriteJSON(w, status, out)
 }
 
 // Register mounts the coordinator's HTTP API on mux under prefix
@@ -88,14 +69,16 @@ func (c *Coordinator) Register(mux *http.ServeMux, prefix string) {
 	mux.HandleFunc("POST "+prefix+"/fail", c.handleFail)
 }
 
+// handleSubmit decodes the scenario strictly: an unknown field is a 422,
+// as on POST /v1/jobs.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var ws api.Scenario
-	if !readJSON(w, r, &ws) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	s, err := apiconv.ScenarioToInternal(&ws)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
+	var s api.Scenario
+	if e := apiconv.DecodeRequest(body, &s); e != nil {
+		api.WriteError(w, r, e)
 		return
 	}
 	v, err := c.Submit(s)
@@ -103,21 +86,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
 		return
 	}
-	writeView(w, r, http.StatusAccepted, v)
+	api.WriteJSON(w, http.StatusAccepted, v)
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	views := c.Jobs()
-	out := make([]*api.FleetJob, 0, len(views))
-	for _, v := range views {
-		fj, err := ViewToAPI(v)
-		if err != nil {
-			api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-			return
-		}
-		out = append(out, fj)
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, c.Jobs())
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -126,7 +99,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.NewError(http.StatusNotFound, api.CodeNotFound, "no such fleet job"))
 		return
 	}
-	writeView(w, r, http.StatusOK, v)
+	api.WriteJSON(w, http.StatusOK, v)
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -140,7 +113,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, _ := c.Job(id)
-	writeView(w, r, http.StatusAccepted, v)
+	api.WriteJSON(w, http.StatusAccepted, v)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -153,12 +126,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	lease, err := leaseToAPI(a)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, lease)
+	api.WriteJSON(w, http.StatusOK, a)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

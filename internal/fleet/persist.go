@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"etherm/api"
 	"etherm/internal/jobstore"
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
@@ -170,7 +171,7 @@ func (c *Coordinator) loadLocked(st *jobstore.State) error {
 			// Re-attach persisted shard payloads to running jobs.
 			needMerge := true
 			for _, sh := range j.shards {
-				if sh.status != ShardDone {
+				if sh.status != api.ShardDone {
 					needMerge = false
 					continue
 				}
@@ -179,7 +180,7 @@ func (c *Coordinator) loadLocked(st *jobstore.State) error {
 					// Payload lost (should not happen: it is written first).
 					// Re-lease the shard rather than fail the job.
 					c.storeLogf("fleet: recover %s: shard %d marked done without payload, re-leasing", j.id, sh.shard)
-					sh.status = ShardPending
+					sh.status = api.ShardPending
 					sh.worker = ""
 					sh.leaseID = ""
 					needMerge = false

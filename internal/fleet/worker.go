@@ -69,15 +69,6 @@ func (w *Worker) RunOnce(ctx context.Context) (worked bool, err error) {
 	}
 	w.logf("worker %s: leased shard %d of %s [%d samples]", w.ID, a.Shard, a.JobID, a.Plan.MaxSamples)
 
-	scen, err := apiconv.ScenarioToInternal(&a.Scenario)
-	if err != nil {
-		// The assignment does not fit the contract: report and move on.
-		if ferr := w.failShard(ctx, a, err); ferr != nil {
-			return true, ferr
-		}
-		return true, nil
-	}
-
 	// Heartbeat in the background; cancel the shard when the lease is lost.
 	shardCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -108,7 +99,7 @@ func (w *Worker) RunOnce(ctx context.Context) (worked bool, err error) {
 		cache = scenario.NewCache()
 		w.Cache = cache
 	}
-	res, runErr := runShardSafe(shardCtx, cache, scen, a.Shard, w.SampleWorkers)
+	res, runErr := runShardSafe(shardCtx, cache, a.Scenario, a.Shard, w.SampleWorkers)
 	cancel(nil)
 	<-hbDone
 	if errors.Is(context.Cause(shardCtx), ErrLeaseLost) {

@@ -110,36 +110,6 @@ func (e *Engine) split(b *Batch, n int) (workers, sampleWorkers int) {
 	return workers, sampleWorkers
 }
 
-// BatchResult is the deterministic aggregation of a batch run: scenario
-// results in input order plus cache and failure accounting. It is the
-// structured manifest cmd/etbatch writes and cmd/etserver returns.
-type BatchResult struct {
-	Name      string            `json:"name,omitempty"`
-	Scenarios []*ScenarioResult `json:"scenarios"`
-
-	// Workers/SampleWorkers record the effective pool split.
-	Workers       int `json:"workers"`
-	SampleWorkers int `json:"sample_workers"`
-
-	// Assembly-cache accounting over this run's engine.
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheEntries int     `json:"cache_entries"`
-	FailedCount  int     `json:"failed_count"`
-	ElapsedS     float64 `json:"elapsed_s"`
-}
-
-// Failed returns the results of scenarios that errored.
-func (r *BatchResult) Failed() []*ScenarioResult {
-	var out []*ScenarioResult
-	for _, s := range r.Scenarios {
-		if !s.OK {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Run evaluates every scenario of the batch, fanning out over the worker
 // pool. A failing scenario (bad declaration, unbuildable geometry, solver
 // breakdown or panic) is isolated: its result records the error and the
@@ -206,7 +176,7 @@ func (e *Engine) cacheHits(b *Batch) []bool {
 		if s.Validate() != nil {
 			continue
 		}
-		spec, err := s.Chip.Materialize()
+		spec, err := Materialize(s.Chip)
 		if err != nil || spec.Validate() != nil {
 			continue
 		}

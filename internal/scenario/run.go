@@ -16,111 +16,14 @@ import (
 	"etherm/internal/uq"
 )
 
-// ScenarioResult is the structured outcome of one scenario: identification,
-// cache accounting and a Fig.-7-style summary of the hottest wire against
-// the critical temperature. Timing fields (ElapsedS) are wall-clock and the
-// only nondeterministic part; everything else is bit-identical across
-// repeated runs and worker counts.
-type ScenarioResult struct {
-	Index       int    `json:"index"`
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
-	OK          bool   `json:"ok"`
-	Error       string `json:"error,omitempty"`
-
-	// CacheHit reports whether the mesh assembly was served from the cache;
-	// within a batch it follows scenario index order (see Engine.Run).
-	CacheHit bool    `json:"cache_hit"`
-	ElapsedS float64 `json:"elapsed_s"`
-
-	GridNodes int    `json:"grid_nodes,omitempty"`
-	NumWires  int    `json:"num_wires,omitempty"`
-	Method    string `json:"method"`
-	// Samples counts successful model evaluations for sampling methods;
-	// Failures the isolated per-sample failures; Evaluations the quadrature
-	// nodes of a collocation run.
-	Samples     int `json:"samples,omitempty"`
-	Failures    int `json:"failures,omitempty"`
-	Evaluations int `json:"evaluations,omitempty"`
-
-	// Streaming-campaign accounting. Streamed marks the constant-memory
-	// path; StopReason records why the campaign ended ("budget",
-	// "target-se", "target-ci"); RequestedSamples is the budget the
-	// adaptive rules stopped within; Shards records the shard count of a
-	// sharded campaign (0 = single-fold).
-	Streamed         bool   `json:"streamed,omitempty"`
-	StopReason       string `json:"stop_reason,omitempty"`
-	RequestedSamples int    `json:"requested_samples,omitempty"`
-	Shards           int    `json:"shards,omitempty"`
-
-	// Hottest-wire summary (expectation for UQ methods, the single
-	// trajectory for deterministic runs).
-	HotWire     int     `json:"hot_wire"`
-	HotWireName string  `json:"hot_wire_name,omitempty"`
-	HotWireSide string  `json:"hot_wire_side,omitempty"`
-	TEndMaxK    float64 `json:"t_end_max_k,omitempty"`
-	SigmaK      float64 `json:"sigma_k,omitempty"`
-	ErrorMCK    float64 `json:"error_mc_k,omitempty"`
-
-	// Failure diagnostics against the critical temperature. Crossing times
-	// are nil when the trajectory never reaches T_crit.
-	TCritK     float64  `json:"t_crit_k,omitempty"`
-	CrossMeanS *float64 `json:"cross_mean_s,omitempty"`
-	Cross6SigS *float64 `json:"cross_6sigma_s,omitempty"`
-	ExceedProb float64  `json:"exceed_prob"`
-	// FailProbEmp is the empirical failure probability P(any wire ≥ T_crit
-	// at any time) from streaming campaigns (absent on non-streaming
-	// scenarios, whose v1 result carries moments only).
-	FailProbEmp *float64 `json:"fail_prob_emp,omitempty"`
-	// TObsMaxK is the hottest single observation across all samples, wires
-	// and times (streaming campaigns only).
-	TObsMaxK float64 `json:"t_obs_max_k,omitempty"`
-	// DamageHot is the Arrhenius mold-epoxy damage integral of the
-	// hottest-wire mean trajectory (failure at ≥ 1).
-	DamageHot float64 `json:"damage_hot,omitempty"`
-	// PTotalEndW is the total dissipated power at the end time
-	// (deterministic runs only).
-	PTotalEndW float64 `json:"p_total_end_w,omitempty"`
-
-	// Rare-event campaign summary (uq.mode == "failure_probability").
-	// RareEstimator names the driver ("subset" or "importance"); PFail is
-	// the estimated failure probability P(T_max ≥ T_crit) with coefficient
-	// of variation PFailCoV; RareConverged reports whether the subset run
-	// reached the target threshold within its level budget (always true for
-	// importance sampling); RareLevels is the per-level telemetry.
-	RareEstimator string      `json:"rare_estimator,omitempty"`
-	PFail         *float64    `json:"p_fail,omitempty"`
-	PFailCoV      float64     `json:"p_fail_cov,omitempty"`
-	RareConverged bool        `json:"rare_converged,omitempty"`
-	RareLevels    []RareLevel `json:"rare_levels,omitempty"`
-
-	// Hottest-wire series for plotting: mean and standard deviation per
-	// recorded time point.
-	TimesS    []float64 `json:"times_s,omitempty"`
-	HotMeanK  []float64 `json:"hot_mean_k,omitempty"`
-	HotSigmaK []float64 `json:"hot_sigma_k,omitempty"`
-}
-
-// RareLevel summarizes one subset-simulation level for results and SSE
-// progress: the temperature threshold the level conditioned on, the MCMC
-// acceptance rate of the chains that produced it, the conditional
-// exceedance probability and the model evaluations spent.
-type RareLevel struct {
-	Level      int     `json:"level"`
-	ThresholdK float64 `json:"threshold_k"`
-	Accept     float64 `json:"accept"`
-	CondProb   float64 `json:"cond_prob"`
-	Evals      int     `json:"evals"`
-}
-
 // evaluate runs one scenario end to end: instantiate the problem from the
 // assembly cache, run the deterministic or UQ study, and summarize.
 func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers int) (*ScenarioResult, error) {
-	s = s.withSimDefaults()
+	s = s.WithSimDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := s.Chip.Materialize()
+	spec, err := Materialize(s.Chip)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +32,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		return nil, err
 	}
 	method := s.UQ.EffectiveMethod()
-	opt := s.Sim.CoreOptions(method != MethodNone || s.UQ.Rare())
+	opt := config.CoreOptions(s.Sim, method != MethodNone || s.UQ.Rare())
 	sim, err := inst.Simulator(opt)
 	if err != nil {
 		return nil, err
@@ -141,7 +44,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		GridNodes: inst.Problem.Grid.NumNodes(),
 		NumWires:  len(inst.Problem.Wires),
 	}
-	tCrit := s.criticalK()
+	tCrit := criticalK(s)
 
 	if s.UQ.Rare() {
 		if err := e.evaluateRare(ctx, i, s, sim, res, tCrit, sampleWorkers); err != nil {
@@ -217,7 +120,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 			// Every local campaign — sharded, streaming or not — runs the
 			// one study driver; only the streaming knobs decide what the
 			// result reports about it.
-			p := s.UQ.studyParams()
+			p := studyParams(s.UQ)
 			sampler, err := newSampler(method, study.GermDim(nWires, p.Rho), s.UQ)
 			if err != nil {
 				return nil, err
@@ -229,7 +132,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 					Done: int(done.Add(1)), Total: s.UQ.Budget(), Err: sampleErr,
 				})
 			}
-			if f7, camp, err = study.RunStreamingStudyWith(ctx, sim, p, sampler, s.streamOptions(sampleWorkers, onSample)); err != nil {
+			if f7, camp, err = study.RunStreamingStudyWith(ctx, sim, p, sampler, streamOptions(s, sampleWorkers, onSample)); err != nil {
 				return nil, err
 			}
 		}
@@ -372,7 +275,7 @@ func fillFromFig7(res *ScenarioResult, inst *Instance, f7 *study.Fig7, tCrit flo
 // that may legitimately differ between a run and its resumption. A stale
 // checkpoint from a different configuration is rejected instead of
 // silently absorbing mixed-model samples.
-func (s Scenario) campaignTag() string {
+func campaignTag(s Scenario) string {
 	id := struct {
 		Chip      ChipSpec
 		Sim       config.SimConfig
@@ -387,7 +290,7 @@ func (s Scenario) campaignTag() string {
 		Sim:       s.Sim,
 		Method:    s.UQ.EffectiveMethod(),
 		Seed:      s.UQ.Seed,
-		Rho:       s.UQ.EffectiveRho(),
+		Rho:       studyParams(s.UQ).Rho,
 		MeanDelta: s.UQ.MeanDelta,
 		StdDelta:  s.UQ.StdDelta,
 		CriticalK: s.UQ.CriticalK,
@@ -401,15 +304,20 @@ func (s Scenario) campaignTag() string {
 	return fmt.Sprintf("scenario:%016x", h.Sum64())
 }
 
-// studyParams returns the elongation law a study samples.
-func (u UQSpec) studyParams() study.Params {
-	return study.Params{Mu: u.MeanDelta, Sigma: u.StdDelta, Rho: u.EffectiveRho()}
+// studyParams returns the elongation law a study samples; an unset ρ is
+// the calibrated study.DefaultRho.
+func studyParams(u UQSpec) study.Params {
+	p := study.Params{Mu: u.MeanDelta, Sigma: u.StdDelta, Rho: study.DefaultRho}
+	if u.Rho != nil {
+		p.Rho = *u.Rho
+	}
+	return p
 }
 
 // studyInputs builds the parallel model factory and germ distributions for a
 // UQ study on the instantiated simulator.
 func studyInputs(sim *core.Simulator, u UQSpec) (uq.ModelFactory, []uq.Dist) {
-	p := u.studyParams()
+	p := studyParams(u)
 	return study.ParamFactory(sim, p), study.GermDists(len(sim.Wires()), p.Rho)
 }
 

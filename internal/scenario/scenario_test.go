@@ -38,7 +38,7 @@ func TestChipSpecMaterialize(t *testing.T) {
 		Preset: "date16", DriveScale: 0.5, WireMaterial: "gold", WireSegments: 4,
 		MeanElongation: 0.25, AmbientK: 358, Emissivity: ptr(0),
 	}
-	spec, err := c.Materialize()
+	spec, err := Materialize(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPresetsAreValidAndDiverse(t *testing.T) {
 	}
 	// All presets share one demo mesh so a batch run demonstrates caching.
 	for _, s := range b.Scenarios {
-		spec, err := s.Chip.Materialize()
+		spec, err := Materialize(s.Chip)
 		if err != nil {
 			t.Fatalf("preset %q: %v", s.Name, err)
 		}
@@ -175,7 +175,7 @@ func TestPresetsAreValidAndDiverse(t *testing.T) {
 
 func mustSpec(t *testing.T, c ChipSpec) chipmodel.Spec {
 	t.Helper()
-	spec, err := c.Materialize()
+	spec, err := Materialize(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +187,13 @@ func TestSimDefaults(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("zero sim config should validate via defaults: %v", err)
 	}
-	d := s.withSimDefaults()
+	d := s.WithSimDefaults()
 	if d.Sim.EndTimeS != 50 || d.Sim.NumSteps != 50 {
 		t.Errorf("defaults wrong: %+v", d.Sim)
 	}
 	// Explicit values survive.
 	s.Sim = config.SimConfig{EndTimeS: 10, NumSteps: 4}
-	if d := s.withSimDefaults(); d.Sim.EndTimeS != 10 || d.Sim.NumSteps != 4 {
+	if d := s.WithSimDefaults(); d.Sim.EndTimeS != 10 || d.Sim.NumSteps != 4 {
 		t.Error("explicit sim config overwritten")
 	}
 }
@@ -215,7 +215,7 @@ func TestScenarioSolverKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := batch.Scenarios[0].Sim.CoreOptions(false)
+	opt := config.CoreOptions(batch.Scenarios[0].Sim, false)
 	if opt.PrecondOmega != 0.95 {
 		t.Errorf("solver knobs lost in materialization: %+v", opt)
 	}
@@ -243,21 +243,21 @@ func TestPaperScenarioFile(t *testing.T) {
 	if m := b.Scenarios[0].UQ.EffectiveMethod(); m != MethodNone {
 		t.Errorf("nominal scenario runs method %q", m)
 	}
-	mc := b.Scenarios[1].withSimDefaults()
+	mc := b.Scenarios[1].WithSimDefaults()
 	if mc.Sim.EndTimeS != 50 || mc.Sim.NumSteps != 50 {
 		t.Errorf("horizon %g s over %d steps, want 50 s over 50", mc.Sim.EndTimeS, mc.Sim.NumSteps)
 	}
-	law := mc.UQ.studyParams().Effective()
+	law := studyParams(mc.UQ).Effective()
 	if law.Mu != 0.17 || law.Sigma != 0.048 || law.Rho != 0.3 {
 		t.Errorf("elongation law %+v, want N(0.17, 0.048), rho 0.3", law)
 	}
-	if mc.criticalK() != 523 {
-		t.Errorf("T_crit %g, want 523 K", mc.criticalK())
+	if criticalK(mc) != 523 {
+		t.Errorf("T_crit %g, want 523 K", criticalK(mc))
 	}
 	if u := mc.UQ; u.EffectiveMethod() != MethodMonteCarlo || u.Budget() != 1000 || u.Seed != 2016 || u.Streaming() {
 		t.Errorf("study %+v, want non-streaming monte-carlo, M = 1000, seed 2016", u)
 	}
-	spec, err := mc.Chip.Materialize()
+	spec, err := Materialize(mc.Chip)
 	if err != nil {
 		t.Fatal(err)
 	}

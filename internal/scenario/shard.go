@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 
+	"etherm/internal/config"
 	"etherm/internal/degrade"
 	"etherm/internal/study"
 	"etherm/internal/uq"
@@ -31,7 +32,7 @@ type ShardDelegate interface {
 // The plan depends only on the declaration (budget, shard count, block
 // size), so every participant — engine, coordinator, workers — derives the
 // same partition independently.
-func (s Scenario) ShardPlan() (*uq.ShardPlan, error) {
+func ShardPlan(s Scenario) (*uq.ShardPlan, error) {
 	if !s.UQ.Sharded() {
 		return nil, fmt.Errorf("scenario %q is not sharded", s.Name)
 	}
@@ -41,7 +42,7 @@ func (s Scenario) ShardPlan() (*uq.ShardPlan, error) {
 // shardInputs instantiates the model side of a sharded scenario: cached
 // assembly, simulator, factory/distributions and the sampler.
 func shardInputs(cache *AssemblyCache, s Scenario) (*Instance, uq.ModelFactory, []uq.Dist, uq.Sampler, error) {
-	spec, err := s.Chip.Materialize()
+	spec, err := Materialize(s.Chip)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -49,7 +50,7 @@ func shardInputs(cache *AssemblyCache, s Scenario) (*Instance, uq.ModelFactory, 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	sim, err := inst.Simulator(s.Sim.CoreOptions(true))
+	sim, err := inst.Simulator(config.CoreOptions(s.Sim, true))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -62,7 +63,7 @@ func shardInputs(cache *AssemblyCache, s Scenario) (*Instance, uq.ModelFactory, 
 }
 
 // criticalK resolves the failure threshold of a scenario.
-func (s Scenario) criticalK() float64 {
+func criticalK(s Scenario) float64 {
 	if s.UQ.CriticalK > 0 {
 		return s.UQ.CriticalK
 	}
@@ -74,7 +75,7 @@ func (s Scenario) criticalK() float64 {
 // the campaign tag that guards checkpoints and merges against
 // configuration drift, and auto-resume whenever a checkpoint path is set
 // (sharded campaigns read "<path>.shard-N" files).
-func (s Scenario) streamOptions(workers int, onSample func(int, error)) study.StreamOptions {
+func streamOptions(s Scenario, workers int, onSample func(int, error)) study.StreamOptions {
 	return study.StreamOptions{
 		Samples:         s.UQ.Budget(),
 		Workers:         workers,
@@ -83,8 +84,8 @@ func (s Scenario) streamOptions(workers int, onSample func(int, error)) study.St
 		Checkpoint:      s.UQ.Checkpoint,
 		CheckpointEvery: s.UQ.CheckpointEvery,
 		Resume:          s.UQ.Checkpoint != "",
-		Tag:             s.campaignTag(),
-		TCrit:           s.criticalK(),
+		Tag:             campaignTag(s),
+		TCrit:           criticalK(s),
 		Shards:          s.UQ.Shards,
 		ShardBlock:      s.UQ.ShardBlock,
 		OnSample:        onSample,
@@ -96,11 +97,11 @@ func (s Scenario) streamOptions(workers int, onSample func(int, error)) study.St
 // returned ShardResult is self-contained (per-block accumulators plus
 // fingerprint/tag identity) and safe to serialize to a coordinator.
 func RunShard(ctx context.Context, cache *AssemblyCache, s Scenario, shard, workers int) (*uq.ShardResult, error) {
-	s = s.withSimDefaults()
+	s = s.WithSimDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := s.ShardPlan()
+	plan, err := ShardPlan(s)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func RunShard(ctx context.Context, cache *AssemblyCache, s Scenario, shard, work
 	}
 	// The shard options come from streamOptions exactly as the engine's
 	// local sharded path derives them, so both produce the same shard state.
-	return uq.RunShard(ctx, factory, dists, sampler, plan, shard, s.streamOptions(workers, nil).ShardOptions())
+	return uq.RunShard(ctx, factory, dists, sampler, plan, shard, streamOptions(s, workers, nil).ShardOptions())
 }
 
 // FinalizeShards merges completed shard results of a sharded scenario and
@@ -118,11 +119,11 @@ func RunShard(ctx context.Context, cache *AssemblyCache, s Scenario, shard, work
 // caller owns Index and ElapsedS). The merged campaign is returned
 // alongside so services can expose the raw accumulator state.
 func FinalizeShards(cache *AssemblyCache, s Scenario, results []*uq.ShardResult) (*ScenarioResult, *uq.CampaignResult, error) {
-	s = s.withSimDefaults()
+	s = s.WithSimDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	plan, err := s.ShardPlan()
+	plan, err := ShardPlan(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,10 +131,10 @@ func FinalizeShards(cache *AssemblyCache, s Scenario, results []*uq.ShardResult)
 	if err != nil {
 		return nil, nil, err
 	}
-	if want := s.campaignTag(); camp.Tag != want {
+	if want := campaignTag(s); camp.Tag != want {
 		return nil, nil, fmt.Errorf("scenario %q: merged shards carry tag %q, expected %q (stale or foreign shard state)", s.Name, camp.Tag, want)
 	}
-	spec, err := s.Chip.Materialize()
+	spec, err := Materialize(s.Chip)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,8 +149,8 @@ func FinalizeShards(cache *AssemblyCache, s Scenario, results []*uq.ShardResult)
 		GridNodes: inst.Problem.Grid.NumNodes(),
 		NumWires:  len(inst.Problem.Wires),
 	}
-	tCrit := s.criticalK()
-	f7, err := study.BuildFig7FromCampaign(study.Times(s.Sim.CoreOptions(true)), camp, len(inst.Problem.Wires), tCrit)
+	tCrit := criticalK(s)
+	f7, err := study.BuildFig7FromCampaign(study.Times(config.CoreOptions(s.Sim, true)), camp, len(inst.Problem.Wires), tCrit)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -86,7 +86,7 @@ func TestShardedScenarioMatchesRunShardPlusFinalize(t *testing.T) {
 	}
 
 	cache := NewCache()
-	plan, err := s.ShardPlan()
+	plan, err := ShardPlan(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // Campaign-control knobs (budget, targets, checkpointing) are excluded,
 // mirroring campaignTag.
 func SurrogateID(s Scenario, level, order int) string {
-	s = s.withSimDefaults()
+	s = s.WithSimDefaults()
 	id := struct {
 		Chip      ChipSpec
 		Sim       config.SimConfig
@@ -36,7 +36,7 @@ func SurrogateID(s Scenario, level, order int) string {
 	}{
 		Chip:      s.Chip,
 		Sim:       s.Sim,
-		Rho:       s.UQ.EffectiveRho(),
+		Rho:       studyParams(s.UQ).Rho,
 		MeanDelta: s.UQ.MeanDelta,
 		StdDelta:  s.UQ.StdDelta,
 		CriticalK: s.UQ.CriticalK,
@@ -58,11 +58,11 @@ func SurrogateID(s Scenario, level, order int) string {
 // fits the serving surrogate. The returned model is self-contained and
 // serializable; ctx cancels between FEM evaluations.
 func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level, order int) (*surrogate.Model, error) {
-	s = s.withSimDefaults()
+	s = s.WithSimDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := s.Chip.Materialize()
+	spec, err := Materialize(s.Chip)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -70,12 +70,12 @@ func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	sim, err := inst.Simulator(s.Sim.CoreOptions(true))
+	sim, err := inst.Simulator(config.CoreOptions(s.Sim, true))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	factory, dists := studyInputs(sim, s.UQ)
-	law := s.UQ.studyParams().Effective()
+	law := studyParams(s.UQ).Effective()
 	cfg := surrogate.Config{
 		ID:          SurrogateID(s, level, order),
 		GeometryKey: GeometryKey(spec),
@@ -87,7 +87,7 @@ func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level
 		Mu:          law.Mu,
 		Sigma:       law.Sigma,
 		Rho:         law.Rho,
-		TCritK:      s.criticalK(),
+		TCritK:      criticalK(s),
 	}
 	m, err := surrogate.Build(ctx, factory, dists, cfg)
 	if err != nil {

@@ -67,12 +67,15 @@ func TestErrorConformance(t *testing.T) {
 		{"stale heartbeat", "POST", "/v1/fleet/heartbeat", `{"lease_id":"lease-000042"}`, 410, api.CodeLeaseLost},
 		{"stale result", "POST", "/v1/fleet/result", `{"lease_id":"lease-000042","result":{"shard":0,"start":0,"end":0,"block_size":1,"sampler":"x","num_outputs":0,"evaluated":0,"failures":0,"blocks":[]}}`, 410, api.CodeLeaseLost},
 		{"unsharded fleet submit", "POST", "/v1/fleet/jobs", `{"name":"x"}`, 422, api.CodeValidation},
+		{"unknown field in fleet submit", "POST", "/v1/fleet/jobs", `{"name":"x","chip":{"hmaxx":1},"uq":{"method":"monte-carlo","samples":4,"shards":2}}`, 422, api.CodeValidation},
 		{"method not allowed on surrogates", "PUT", "/v1/surrogates", "", 405, api.CodeMethodNotAllowed},
 		{"malformed surrogate build", "POST", "/v1/surrogates", "}{", 400, api.CodeInvalidBody},
 		{"nameless surrogate spec", "POST", "/v1/surrogates", `{"scenario":{}}`, 422, api.CodeValidation},
 		{"surrogate level out of range", "POST", "/v1/surrogates", `{"scenario":{"name":"x"},"level":9}`, 422, api.CodeValidation},
+		{"unknown field in surrogate spec", "POST", "/v1/surrogates", `{"scenario":{"name":"x","chip":{"hmax_m":0.0008,"active_pairs":[0]},"sim":{"end_time_s":10,"num_steps":3,"coupling":"weak","nonlinear":"newton"},"uq":{"rho":1}},"levle":3}`, 422, api.CodeValidation},
 		{"unknown surrogate", "GET", "/v1/surrogates/sg-999999", "", 404, api.CodeNotFound},
 		{"unknown surrogate query", "POST", "/v1/surrogates/sg-999999/query", "{}", 404, api.CodeNotFound},
+		{"unknown field in surrogate query", "POST", "/v1/surrogates/sg-999999/query", `{"t_crit":523}`, 422, api.CodeValidation},
 		{"bad version header", "GET", "/healthz", "", 400, api.CodeUnsupportedVersion},
 	} {
 		var body *strings.Reader

@@ -112,10 +112,10 @@ func crashScenario() *api.Scenario {
 	}
 }
 
-// canonicalInternal strips the context-dependent fields of a scenario
+// canonicalResult strips the context-dependent fields of a scenario
 // result (timing, batch index, cache provenance) and renders the rest as
 // JSON, so two runs can be compared bit-for-bit.
-func canonicalInternal(t *testing.T, r *scenario.ScenarioResult) string {
+func canonicalResult(t *testing.T, r *api.ScenarioResult) string {
 	t.Helper()
 	cp := *r
 	cp.ElapsedS = 0
@@ -126,17 +126,6 @@ func canonicalInternal(t *testing.T, r *scenario.ScenarioResult) string {
 		t.Fatal(err)
 	}
 	return string(data)
-}
-
-// canonicalResult canonicalizes a wire scenario result for comparison
-// against an engine-side run.
-func canonicalResult(t *testing.T, r *api.ScenarioResult) string {
-	t.Helper()
-	internal, err := apiconv.ScenarioResultToInternal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return canonicalInternal(t, internal)
 }
 
 // TestCrashRecoverySIGKILL is the durability acceptance test: a real
@@ -157,10 +146,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 
 	// The uninterrupted reference: the same campaign through the engine's
 	// local sharded path, no fleet, no crash.
-	scen, err := apiconv.ScenarioToInternal(crashScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	scen := *crashScenario()
 	eng := scenario.NewEngine()
 	ref, err := eng.Run(ctx, &scenario.Batch{Scenarios: []scenario.Scenario{scen}})
 	if err != nil {
@@ -169,7 +155,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if ref.FailedCount != 0 {
 		t.Fatalf("local reference failed: %+v", ref.Failed())
 	}
-	want := canonicalInternal(t, ref.Scenarios[0])
+	want := canonicalResult(t, ref.Scenarios[0])
 
 	// Incarnation one: a finished batch job and a fleet campaign with one
 	// shard merged and a second shard leased but never completed.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"etherm/api"
-	"etherm/internal/apiconv"
 	"etherm/internal/fleet"
 	"etherm/internal/jobstore"
 	"etherm/internal/metrics"
@@ -343,8 +342,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
 		return
 	}
-	// scenario.ParseBatch is the validation authority; api.Batch is
-	// conformance-tested to marshal into exactly this shape.
+	// scenario.ParseBatch is the validation authority: a strict decode into
+	// api.Batch (unknown fields rejected) plus the engine's deep Validate.
 	batch, err := scenario.ParseBatch(body)
 	if err != nil {
 		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
@@ -461,42 +460,26 @@ func (s *Server) runJob(ctx context.Context, id string, batch *scenario.Batch) {
 				Scenario: ev.Scenario, Done: ev.Done, Total: ev.Total,
 			})
 		case scenario.PhaseLevel:
-			var lv *api.RareLevel
-			if ev.Level != nil {
-				lv = &api.RareLevel{
-					Level: ev.Level.Level, ThresholdK: ev.Level.ThresholdK,
-					Accept: ev.Level.Accept, CondProb: ev.Level.CondProb,
-					Evals: ev.Level.Evals,
-				}
-			}
 			s.hub.publish(id, api.JobEvent{
 				Type: api.EventLevel, JobID: id,
 				Scenario: ev.Scenario, Done: ev.Done, Total: ev.Total,
-				Level: lv,
+				Level: ev.Level,
 			})
 		}
 	}
 	res, err := s.runEngine(ctx, eng, batch)
-	var apiRes *api.BatchResult
-	var convErr error
-	if res != nil {
-		apiRes, convErr = apiconv.BatchResultToAPI(res)
-	}
 	s.finish(id, func(j *api.Job) {
 		switch {
 		case ctx.Err() != nil:
 			j.Status = api.JobCanceled
 			j.Error = "canceled by client"
-			j.Result = apiRes // partial results when the final scenario absorbed the cancel
+			j.Result = res // partial results when the final scenario absorbed the cancel
 		case err != nil:
 			j.Status = api.JobFailed
 			j.Error = err.Error()
-		case convErr != nil:
-			j.Status = api.JobFailed
-			j.Error = convErr.Error()
 		default:
 			j.Status = api.JobDone
-			j.Result = apiRes
+			j.Result = res
 		}
 	})
 }
@@ -639,12 +622,7 @@ func (s *Server) writeFleetJob(w http.ResponseWriter, r *http.Request, id string
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))
 		return
 	}
-	fj, err := fleet.ViewToAPI(fv)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, fj)
+	writeJSON(w, http.StatusAccepted, fv)
 }
 
 // evictLocked drops the oldest finished jobs until at most maxHistory
@@ -702,12 +680,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j := s.snapshot(id)
 	if j == nil {
 		if fv, ok := s.coord.Job(id); ok {
-			fj, err := fleet.ViewToAPI(fv)
-			if err != nil {
-				api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-				return
-			}
-			writeJSON(w, http.StatusOK, fj)
+			writeJSON(w, http.StatusOK, fv)
 			return
 		}
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))

@@ -12,7 +12,7 @@ import (
 
 	"etherm/api"
 	"etherm/client"
-	"etherm/internal/apiconv"
+	"etherm/internal/scenario"
 )
 
 // newTestServer spins an httptest server plus an SDK client against it.
@@ -280,11 +280,7 @@ func TestPresetsEndpoint(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Errorf("served presets invalid on the wire: %v", err)
 	}
-	internal, err := apiconv.BatchToInternal(b)
-	if err != nil {
-		t.Fatalf("served presets do not fit the wire contract: %v", err)
-	}
-	if err := internal.Validate(); err != nil {
+	if err := (*scenario.Batch)(b).Validate(); err != nil {
 		t.Errorf("served presets invalid: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ type surrogateRecord struct {
 	meta     *api.Surrogate
 	spec     *api.SurrogateSpec
 	specRaw  json.RawMessage
-	scenario scenario.Scenario // converted + validated build scenario
+	scenario scenario.Scenario // validated build scenario
 	level    int
 	order    int
 	modelRaw json.RawMessage // serialized model, set once ready
@@ -80,7 +80,7 @@ func (s *Server) recoverSurrogates() {
 			_ = s.store.Delete(jobstore.KindSurrogate, id, jobstore.Counters{})
 			continue
 		}
-		rec, err := s.surrogateRecordFromSpec(ss.Spec)
+		rec, err := s.surrogateRecordFromSpec(ss.Spec, json.Unmarshal)
 		if err != nil {
 			s.logErr("server: dropping surrogate %s with unrecoverable spec: %v", id, err)
 			_ = s.store.Delete(jobstore.KindSurrogate, id, jobstore.Counters{})
@@ -141,20 +141,19 @@ func surrogateScenario(sc scenario.Scenario) scenario.Scenario {
 }
 
 // surrogateRecordFromSpec parses and validates a raw SurrogateSpec into a
-// build-ready record (meta left for the caller).
-func (s *Server) surrogateRecordFromSpec(raw json.RawMessage) (*surrogateRecord, error) {
+// build-ready record (meta left for the caller). The HTTP boundary decodes
+// with apiconv.DecodeStrict, so a typo in a new spec is rejected; recovery
+// decodes specs already in the store with json.Unmarshal, as they were
+// accepted.
+func (s *Server) surrogateRecordFromSpec(raw json.RawMessage, decode func([]byte, any) error) (*surrogateRecord, error) {
 	var spec api.SurrogateSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
+	if err := decode(raw, &spec); err != nil {
 		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sc, err := apiconv.ScenarioToInternal(&spec.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	sc = surrogateScenario(sc)
+	sc := surrogateScenario(spec.Scenario)
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,7 +185,7 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
 		return
 	}
-	rec, err := s.surrogateRecordFromSpec(body)
+	rec, err := s.surrogateRecordFromSpec(body, apiconv.DecodeStrict)
 	if err != nil {
 		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
 		return
@@ -427,10 +426,10 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, "unreadable or oversized query body"))
 		return
 	}
-	var wireQ api.SurrogateQuery
+	var q api.SurrogateQuery
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &wireQ); err != nil {
-			api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
+		if e := apiconv.DecodeRequest(body, &q); e != nil {
+			api.WriteError(w, r, e)
 			return
 		}
 	}
@@ -459,7 +458,7 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 		if status == api.SurrogateBuilding {
 			e.RetryAfterS = 2
 		}
-		e.FallbackJob = surrogateFallback(rec, &wireQ)
+		e.FallbackJob = surrogateFallback(rec, &q)
 		api.WriteError(w, r, e)
 		return
 	}
@@ -470,35 +469,25 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 		s.mSurrQueries["miss"].Inc()
 		e := api.NewError(http.StatusConflict, api.CodeSurrogateNotReady,
 			"surrogate "+id+" is not cached; rebuild or run the fallback job")
-		e.FallbackJob = surrogateFallback(rec, &wireQ)
+		e.FallbackJob = surrogateFallback(rec, &q)
 		api.WriteError(w, r, e)
 		return
 	}
 
-	q, err := apiconv.SurrogateQueryToInternal(&wireQ)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
-		return
-	}
 	ans, err := model.Answer(q)
 	if err != nil {
 		if surrogate.IsDomainError(err) {
 			s.mSurrQueries["out_of_domain"].Inc()
 			e := api.NewError(http.StatusUnprocessableEntity, api.CodeOutOfDomain, err.Error()+
 				"; run the fallback job for a full FEM answer")
-			e.FallbackJob = surrogateFallback(rec, &wireQ)
+			e.FallbackJob = surrogateFallback(rec, &q)
 			api.WriteError(w, r, e)
 			return
 		}
 		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
 		return
 	}
-	wireAns, err := apiconv.SurrogateAnswerToAPI(ans)
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusInternalServerError, api.CodeInternal, err.Error()))
-		return
-	}
 	s.mSurrQueries["hit"].Inc()
 	s.mSurrLatency.Observe(time.Since(start).Seconds())
-	writeJSON(w, http.StatusOK, wireAns)
+	writeJSON(w, http.StatusOK, ans)
 }

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 
+	"etherm/api"
 	"etherm/internal/uq"
 )
 
@@ -321,50 +322,24 @@ func IsDomainError(err error) bool {
 	return ok
 }
 
-// Query asks the surrogate for statistics of the end-time maximum wire
-// temperature, optionally at specific quantiles, a custom critical
-// temperature, and what-if common-elongation points or sweeps.
-type Query struct {
-	Quantiles []float64 `json:"quantiles,omitempty"`
-	TCritK    float64   `json:"t_crit_k,omitempty"` // 0 → the model's default
-	Delta     *float64  `json:"delta,omitempty"`    // what-if: all wires elongated by δ
-	Sweep     *Sweep    `json:"sweep,omitempty"`
-}
-
-// Sweep is an inclusive linear what-if sweep over the common elongation.
-type Sweep struct {
-	From  float64 `json:"from"`
-	To    float64 `json:"to"`
-	Steps int     `json:"steps"`
-}
-
-// QuantileValue is one served quantile of the end-time maximum temperature.
-type QuantileValue struct {
-	Q  float64 `json:"q"`
-	TK float64 `json:"t_k"`
-}
-
-// SweepPoint is the surrogate temperature at one what-if elongation.
-type SweepPoint struct {
-	Delta float64 `json:"delta"`
-	TK    float64 `json:"t_k"`
-}
-
-// Answer is the full response to one Query. ErrIndicatorK is always
-// present: the leave-one-level-out discrepancy of the served output.
-type Answer struct {
-	ID            string          `json:"id"`
-	MeanK         float64         `json:"mean_k"`
-	StdK          float64         `json:"std_k"`
-	HotWire       int             `json:"hot_wire"`
-	TCritK        float64         `json:"t_crit_k"`
-	FailProb      float64         `json:"fail_prob"`
-	Quantiles     []QuantileValue `json:"quantiles,omitempty"`
-	Delta         *SweepPoint     `json:"delta,omitempty"`
-	Sweep         []SweepPoint    `json:"sweep,omitempty"`
-	ErrIndicatorK float64         `json:"err_indicator_k"`
-	Evaluations   int             `json:"evaluations"`
-}
+// The query and answer of the read API are declared once, in package api.
+type (
+	// Query asks the surrogate for statistics of the end-time maximum wire
+	// temperature, optionally at specific quantiles, a custom critical
+	// temperature (0 keeps the model's default), and what-if
+	// common-elongation points or sweeps.
+	Query = api.SurrogateQuery
+	// Sweep is an inclusive linear what-if sweep over the common elongation.
+	Sweep = api.SurrogateSweep
+	// QuantileValue is one served quantile of the end-time maximum
+	// temperature.
+	QuantileValue = api.SurrogateQuantile
+	// SweepPoint is the surrogate temperature at one what-if elongation.
+	SweepPoint = api.SurrogateSweepPoint
+	// Answer is the full response to one Query. ErrIndicatorK is always
+	// present: the leave-one-level-out discrepancy of the served output.
+	Answer = api.SurrogateAnswer
+)
 
 // germFor maps a common elongation δ to the minimum-norm germ that
 // realizes δ_j = δ on every wire under the correlated law
