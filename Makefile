@@ -84,12 +84,14 @@ bench-test:
 
 # cli-smoke runs the two command-line front doors end to end: the paper
 # artifact generator (Fig. 7 at M = 4, the Fig. 8 field and the nominal
-# all-wire history, ~7 s) and the bundled scenario suite (nominal, Monte
-# Carlo, Sobol' and Smolyak scenarios, ~30 s on 2 cores). CI's verify job
-# runs it.
+# all-wire history, ~7 s), the bundled scenario suite (nominal, Monte
+# Carlo, Sobol' and Smolyak scenarios, ~30 s on 2 cores) and the campaign
+# paths the suite leaves out (adaptive stop, checkpoint, shards; ~13 s).
+# CI's verify job runs it.
 cli-smoke:
 	$(GO) run ./cmd/figures -samples 4 -out out/cli-smoke/figures
 	$(GO) run ./cmd/etbatch -bundled -out out/cli-smoke/etbatch.json
+	$(GO) run ./cmd/etbatch -f examples/scenarios/campaign_paths.json -out out/cli-smoke/campaign_paths.json
 
 # bench regenerates the paper's tables and figures (expensive).
 bench:

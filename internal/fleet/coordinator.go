@@ -77,7 +77,6 @@ type job struct {
 	status string
 	err    string
 	result *scenario.ScenarioResult
-	camp   *uq.CampaignResult
 	done   chan struct{} // closed on terminal state
 }
 
@@ -367,7 +366,7 @@ func (c *Coordinator) finalize(j *job) error {
 	}
 	c.mu.Unlock()
 
-	res, camp, err := scenario.FinalizeShards(c.cache, j.scen, results)
+	res, err := scenario.FinalizeShards(c.cache, j.scen, results)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if j.status != JobRunning {
@@ -378,10 +377,9 @@ func (c *Coordinator) finalize(j *job) error {
 		return fmt.Errorf("fleet: job %s: %v", j.id, err)
 	}
 	j.result = res
-	j.camp = camp
 	j.status = JobDone
-	// The per-shard accumulator payloads are folded into camp now; release
-	// them so a retained terminal job costs one result, not K block lists.
+	// The per-shard payloads are folded into the result now; release them
+	// so a retained terminal job costs one result, not K block lists.
 	for _, sh := range j.shards {
 		sh.result = nil
 	}
@@ -485,10 +483,11 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (*api.FleetJob, error
 }
 
 // RunSharded implements scenario.ShardDelegate: submit the scenario, wait
-// for the fleet to complete its shards, and return the merged campaign. The
-// scenario engine plugs a Coordinator in as its Sharder to route sharded
-// scenarios through the worker fleet.
-func (c *Coordinator) RunSharded(ctx context.Context, s scenario.Scenario) (*uq.CampaignResult, error) {
+// for the fleet to complete its shards, and return a copy of the result
+// finalize built (the caller writes into it; the job view keeps its own).
+// The scenario engine plugs a Coordinator in as its Sharder to route
+// sharded scenarios through the worker fleet.
+func (c *Coordinator) RunSharded(ctx context.Context, s scenario.Scenario) (*scenario.ScenarioResult, error) {
 	v, err := c.Submit(s)
 	if err != nil {
 		return nil, err
@@ -504,8 +503,6 @@ func (c *Coordinator) RunSharded(ctx context.Context, s scenario.Scenario) (*uq.
 	if v.Status != JobDone {
 		return nil, fmt.Errorf("fleet: job %s %s: %s", v.ID, v.Status, v.Error)
 	}
-	c.mu.Lock()
-	camp := c.jobs[v.ID].camp
-	c.mu.Unlock()
-	return camp, nil
+	res := *v.Result
+	return &res, nil
 }

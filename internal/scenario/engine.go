@@ -59,7 +59,7 @@ type Engine struct {
 	// worker goroutines concurrently and must be safe for parallel use.
 	OnEvent func(Event)
 	// Sharder, when non-nil, executes sharded streaming scenarios
-	// (UQ.Shards > 1) — typically a fleet coordinator distributing shards
+	// (UQ.Shards ≥ 1) — typically a fleet coordinator distributing shards
 	// to etworker processes. Nil runs shards locally in shard order; both
 	// paths produce bit-identical results. Called from worker goroutines
 	// concurrently and must be safe for parallel use.
@@ -222,5 +222,6 @@ func (e *Engine) runScenario(ctx context.Context, i int, s Scenario, sampleWorke
 	if err != nil {
 		return failedResult(i, s, err)
 	}
+	out.Index = i
 	return out
 }

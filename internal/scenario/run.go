@@ -17,7 +17,8 @@ import (
 )
 
 // evaluate runs one scenario end to end: instantiate the problem from the
-// assembly cache, run the deterministic or UQ study, and summarize.
+// assembly cache, run the deterministic or UQ study, and summarize. The
+// caller sets the result's Index.
 func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers int) (*ScenarioResult, error) {
 	s = s.WithSimDefaults()
 	if err := s.Validate(); err != nil {
@@ -26,6 +27,16 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 	spec, err := Materialize(s.Chip)
 	if err != nil {
 		return nil, err
+	}
+	if s.UQ.Sharded() && e.Sharder != nil {
+		// The fleet path, right after the checks cacheHits makes: workers
+		// derive the sampler and model themselves, and the delegate
+		// returns the result its merge built. A chip that fails to mesh
+		// fails through the fleet job's failure reports.
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		return e.Sharder.RunSharded(ctx, s)
 	}
 	inst, err := e.cache.Instantiate(spec, s.Chip.ActivePairs)
 	if err != nil {
@@ -39,7 +50,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 	}
 
 	res := &ScenarioResult{
-		Index: i, Name: s.Name, Description: s.Description,
+		Name: s.Name, Description: s.Description,
 		Method:    method,
 		GridNodes: inst.Problem.Grid.NumNodes(),
 		NumWires:  len(inst.Problem.Wires),
@@ -103,45 +114,11 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		res.Evaluations = col.Evaluations
 
 	default: // sampling methods
-		var camp *uq.CampaignResult
-		if s.UQ.Sharded() && e.Sharder != nil {
-			// The fleet path: the delegate distributes the shards to
-			// workers, which derive the sampler and model themselves.
-			// Per-sample progress events do not fire here — the pull
-			// protocol has no per-sample stream; shard-level progress
-			// lives on the coordinator's job view.
-			if camp, err = e.Sharder.RunSharded(ctx, s); err != nil {
-				return nil, err
-			}
-			if f7, err = study.BuildFig7FromCampaign(times, camp, nWires, tCrit); err != nil {
-				return nil, err
-			}
-		} else {
-			// Every local campaign — sharded, streaming or not — runs the
-			// one study driver; only the streaming knobs decide what the
-			// result reports about it.
-			p := studyParams(s.UQ)
-			sampler, err := newSampler(method, study.GermDim(nWires, p.Rho), s.UQ)
-			if err != nil {
-				return nil, err
-			}
-			var done atomic.Int64
-			onSample := func(_ int, sampleErr error) {
-				e.emit(Event{
-					Index: i, Scenario: s.Name, Phase: PhaseSample,
-					Done: int(done.Add(1)), Total: s.UQ.Budget(), Err: sampleErr,
-				})
-			}
-			if f7, camp, err = study.RunStreamingStudyWith(ctx, sim, p, sampler, streamOptions(s, sampleWorkers, onSample)); err != nil {
-				return nil, err
-			}
+		camp, err := e.runCampaign(ctx, i, s, sim, sampleWorkers)
+		if err != nil {
+			return nil, err
 		}
-		if s.UQ.Streaming() {
-			applyCampaign(res, camp, s.UQ.Shards)
-		}
-		res.Samples = camp.Succeeded()
-		res.Failures = camp.Failures
-		res.ErrorMCK = f7.ErrorMC
+		return sampledResult(s, inst, camp)
 	}
 
 	fillFromFig7(res, inst, f7, tCrit)
@@ -229,6 +206,58 @@ func (e *Engine) evaluateRare(ctx context.Context, i int, s Scenario, sim *core.
 	return nil
 }
 
+// runCampaign runs a sampling scenario's campaign in this process with
+// per-sample progress events: a sharded one shard by shard, any other in
+// one fold that resumes from its checkpoint file when there is one.
+func (e *Engine) runCampaign(ctx context.Context, i int, s Scenario, sim *core.Simulator, workers int) (*uq.CampaignResult, error) {
+	factory, dists := studyInputs(sim, s.UQ)
+	sampler, err := newSampler(s.UQ, len(dists))
+	if err != nil {
+		return nil, err
+	}
+	var done atomic.Int64
+	copt, sopt := campaignOptions(s, workers, func(_ int, sampleErr error) {
+		e.emit(Event{
+			Index: i, Scenario: s.Name, Phase: PhaseSample,
+			Done: int(done.Add(1)), Total: s.UQ.Budget(), Err: sampleErr,
+		})
+	})
+	if s.UQ.Sharded() {
+		plan, err := ShardPlan(s)
+		if err != nil {
+			return nil, err
+		}
+		return uq.RunShardedCampaign(ctx, factory, dists, sampler, plan, sopt)
+	}
+	if s.UQ.Checkpoint != "" {
+		if copt.Resume, err = uq.LoadCheckpointIfExists(s.UQ.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	return uq.RunCampaign(ctx, factory, dists, sampler, copt)
+}
+
+// campaignOptions maps the uq block of a sampling scenario onto the uq
+// campaign options, single-fold and per shard: the budget, adaptive
+// targets and threshold, the campaign tag that guards checkpoints and
+// merges against configuration drift, and auto-resume whenever a
+// checkpoint path is set (sharded campaigns read "<path>.shard-N" files).
+// The local sharded path and RunShard, the fleet worker, both take their
+// shard options here, so their shard state is byte-identical.
+func campaignOptions(s Scenario, workers int, onSample func(int, error)) (uq.CampaignOptions, uq.ShardOptions) {
+	tag, tCrit := campaignTag(s), criticalK(s)
+	return uq.CampaignOptions{
+			MaxSamples: s.UQ.Budget(), Workers: workers,
+			TargetSE: s.UQ.TargetSE, TargetCI: s.UQ.TargetCI, Threshold: tCrit,
+			CheckpointPath: s.UQ.Checkpoint, CheckpointEvery: s.UQ.CheckpointEvery,
+			Tag: tag, OnSample: onSample,
+		}, uq.ShardOptions{
+			Workers: workers, Threshold: tCrit, Tag: tag,
+			CheckpointPath: s.UQ.Checkpoint, CheckpointEvery: s.UQ.CheckpointEvery,
+			Resume: s.UQ.Checkpoint != "", OnSample: onSample,
+		}
+}
+
 // applyCampaign records streaming-campaign accounting on a result.
 func applyCampaign(res *ScenarioResult, camp *uq.CampaignResult, shards int) {
 	res.Streamed = true
@@ -242,6 +271,32 @@ func applyCampaign(res *ScenarioResult, camp *uq.CampaignResult, shards int) {
 	if m := camp.Stats.Ext.GlobalMax(); !math.IsNaN(m) && !math.IsInf(m, 0) {
 		res.TObsMaxK = m
 	}
+}
+
+// sampledResult turns the campaign of a sampling scenario into its
+// ScenarioResult: Fig. 7 from the accumulators, the streaming accounting
+// and the hottest-wire summary. The engine builds a local run's result
+// here and FinalizeShards a fleet merge's; the caller owns Index and
+// ElapsedS.
+func sampledResult(s Scenario, inst *Instance, camp *uq.CampaignResult) (*ScenarioResult, error) {
+	tCrit := criticalK(s)
+	f7, err := study.BuildFig7FromCampaign(study.Times(config.CoreOptions(s.Sim, true)), camp, len(inst.Problem.Wires), tCrit)
+	if err != nil {
+		return nil, err
+	}
+	res := &ScenarioResult{
+		Name: s.Name, Description: s.Description,
+		Method:    s.UQ.EffectiveMethod(),
+		CacheHit:  inst.CacheHit,
+		GridNodes: inst.Problem.Grid.NumNodes(),
+		NumWires:  len(inst.Problem.Wires),
+		Samples:   camp.Succeeded(), Failures: camp.Failures, ErrorMCK: f7.ErrorMC,
+	}
+	if s.UQ.Streaming() {
+		applyCampaign(res, camp, s.UQ.Shards)
+	}
+	fillFromFig7(res, inst, f7, tCrit)
+	return res, nil
 }
 
 // fillFromFig7 fills the hottest-wire summary, failure diagnostics and
@@ -321,9 +376,10 @@ func studyInputs(sim *core.Simulator, u UQSpec) (uq.ModelFactory, []uq.Dist) {
 	return study.ParamFactory(sim, p), study.GermDists(len(sim.Wires()), p.Rho)
 }
 
-// newSampler maps a method name to the unit-cube sampler of internal/uq.
-func newSampler(method string, dim int, u UQSpec) (uq.Sampler, error) {
-	switch method {
+// newSampler maps a sampling method to its unit-cube sampler of
+// internal/uq over dim germs.
+func newSampler(u UQSpec, dim int) (uq.Sampler, error) {
+	switch method := u.EffectiveMethod(); method {
 	case MethodMonteCarlo:
 		return uq.PseudoRandom{D: dim, Seed: u.Seed}, nil
 	case MethodLHS:

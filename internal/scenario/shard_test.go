@@ -94,12 +94,12 @@ func TestShardedScenarioMatchesRunShardPlusFinalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, camp, err := FinalizeShards(cache, s, shards)
+	final, err := FinalizeShards(cache, s, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if camp.Evaluated != s.UQ.Samples {
-		t.Fatalf("merged campaign consumed %d of %d samples", camp.Evaluated, s.UQ.Samples)
+	if n := final.Samples + final.Failures; n != s.UQ.Samples {
+		t.Fatalf("merged campaign consumed %d of %d samples", n, s.UQ.Samples)
 	}
 	want := res.Scenarios[0]
 	final.Index = want.Index

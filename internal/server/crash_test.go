@@ -187,15 +187,20 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if mid.ShardsDone != 1 {
 		t.Fatalf("shards done before crash = %d, want 1", mid.ShardsDone)
 	}
-	// Lease the next shard and compute it, but crash the coordinator
-	// before the result is posted: the lease must survive the restart.
+	// Compute the next shard, lease it, and crash the coordinator before
+	// the result is posted: the lease must survive the restart. The shard
+	// is computed before the lease is taken, so the lease's TTL covers only
+	// the restart; the coordinator leases the lowest pending shard, 1.
+	orphanRes, err := scenario.RunShard(ctx, scenario.NewCache(), scen, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	orphan, ok, err := cl1.Lease(ctx, "outliving-worker")
 	if err != nil || !ok {
 		t.Fatalf("orphan lease: ok=%v err=%v", ok, err)
 	}
-	orphanRes, err := scenario.RunShard(ctx, scenario.NewCache(), scen, orphan.Shard, 2)
-	if err != nil {
-		t.Fatal(err)
+	if orphan.Shard != 1 {
+		t.Fatalf("orphan lease is for shard %d, want 1", orphan.Shard)
 	}
 	orphanWire, err := apiconv.ShardResultToAPI(orphanRes)
 	if err != nil {

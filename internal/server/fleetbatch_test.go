@@ -71,14 +71,11 @@ func TestBatchJobDelegatesShardsToFleet(t *testing.T) {
 }
 
 // canonicalBatch renders a batch result without its wall-clock timings
-// and cache hits: the coordinator's merge instantiates the assembly
-// through the server's shared cache, which a delegated run counts as one
-// more hit than a local one.
+// and per-scenario cache_hit flags.
 func canonicalBatch(t *testing.T, r *api.BatchResult) string {
 	t.Helper()
 	cp := *r
 	cp.ElapsedS = 0
-	cp.CacheHits = 0
 	cp.Scenarios = nil
 	for _, s := range r.Scenarios {
 		sc := *s

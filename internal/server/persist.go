@@ -237,8 +237,8 @@ func (s *Server) initMetrics() {
 		"Surrogate query latency (request to answer).", nil,
 		[]float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 1e-2, 1e-1})
 	s.reg.NewGaugeFunc("etherm_surrogate_cache_entries",
-		"Ready surrogate models in the serving cache.",
-		nil, func() float64 { return float64(s.scache.Len()) })
+		"Ready surrogate models serving queries.",
+		nil, func() float64 { return float64(s.readySurrogates()) })
 
 	// CG-iteration telemetry: the core simulator reports every inner linear
 	// solve through its process-wide observer; the histogram tracks the

@@ -18,7 +18,6 @@ import (
 	"etherm/internal/metrics"
 	"etherm/internal/panicsafe"
 	"etherm/internal/scenario"
-	"etherm/internal/surrogate"
 )
 
 // Server is the HTTP job service: an in-memory store of api.Job records, a
@@ -60,11 +59,10 @@ type Server struct {
 	order   []string                      // job IDs in submission order
 	seq     int
 
-	// surr tracks surrogate builds (content-addressed, so no counter);
-	// scache holds the ready models, next to the assembly cache.
+	// surr tracks surrogate builds (content-addressed, so no counter),
+	// each with its model once ready.
 	surr      map[string]*surrogateRecord
 	surrOrder []string
-	scache    *surrogate.Cache
 
 	// draining flips on Drain: submissions are rejected with 503 +
 	// Retry-After while reads and running jobs continue to completion.
@@ -177,7 +175,6 @@ func New(cfg Config) (*Server, error) {
 		batches:      make(map[string][]byte),
 		cancels:      make(map[string]context.CancelFunc),
 		surr:         make(map[string]*surrogateRecord),
-		scache:       surrogate.NewCache(),
 		hub:          newEventHub(),
 		mux:          http.NewServeMux(),
 		reg:          metrics.NewRegistry(),
@@ -772,6 +769,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		MaxQueued:    s.maxQueued,
 		Watchers:     int(s.hub.watcherCount()),
 		Persistent:   s.persistent,
-		Surrogates:   s.scache.Len(),
+		Surrogates:   s.readySurrogates(),
 	})
 }

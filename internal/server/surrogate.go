@@ -21,10 +21,10 @@ import (
 // spec joins the existing build or returns the ready model), persists the
 // accepted build before acking, and evaluates the sparse-grid design on
 // the shared runner slots — a build competes with batch jobs for FEM
-// capacity, never with queries. Queries are lock-light reads against the
-// ready-model cache and answer in microseconds; anything the surrogate
-// cannot serve redirects to the FEM job path via a typed problem+json
-// whose FallbackJob is a ready-to-submit batch.
+// capacity, never with queries. A query takes the server lock once to
+// read the ready model off its record and answers in microseconds;
+// anything the surrogate cannot serve redirects to the FEM job path via a
+// typed problem+json whose FallbackJob is a ready-to-submit batch.
 
 // surrogateRecord is the in-memory state of one surrogate.
 type surrogateRecord struct {
@@ -35,6 +35,21 @@ type surrogateRecord struct {
 	level    int
 	order    int
 	modelRaw json.RawMessage // serialized model, set once ready
+	// model serves queries; it is set under Server.mu together with the
+	// ready status, so a query never sees one without the other.
+	model *surrogate.Model
+}
+
+// readySurrogates counts the surrogates that serve queries.
+func (s *Server) readySurrogates() (n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range s.surr {
+		if rec.model != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // storedSurrogate is the persisted form of one surrogate: metadata always,
@@ -66,8 +81,8 @@ func (s *Server) persistSurrogateLocked(id string) error {
 	return err
 }
 
-// recoverSurrogates rebuilds the surrogate table from the store: ready
-// models deserialize straight into the serving cache (no FEM work),
+// recoverSurrogates rebuilds the surrogate table from the store: a ready
+// record's model deserializes straight onto it (no FEM work),
 // interrupted builds requeue from their retained spec, failed ones come
 // back inspectable. Unreadable records are dropped.
 func (s *Server) recoverSurrogates() {
@@ -104,8 +119,7 @@ func (s *Server) recoverSurrogates() {
 				requeue = append(requeue, id)
 				continue
 			}
-			rec.modelRaw = ss.Model
-			s.scache.Put(&m)
+			rec.modelRaw, rec.model = ss.Model, &m
 		case api.SurrogateBuilding:
 			requeue = append(requeue, id)
 		}
@@ -114,7 +128,7 @@ func (s *Server) recoverSurrogates() {
 	sort.Strings(requeue)
 	if n := len(s.surrOrder); n > 0 {
 		s.logErr("server: recovered %d surrogate(s) (%d requeued, %d serving)",
-			n, len(requeue), s.scache.Len())
+			n, len(requeue), s.readySurrogates())
 	}
 	for _, id := range requeue {
 		rec := s.surr[id]
@@ -211,7 +225,6 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 			// Failed build or forced rebuild: reset in place, below.
-			s.scache.Delete(id)
 			s.surrOrder = removeID(s.surrOrder, id)
 		}
 	}
@@ -272,7 +285,8 @@ func removeID(order []string, id string) []string {
 }
 
 // buildSurrogate evaluates the design under a runner slot and publishes
-// the result. Terminal states persist; the ready model enters the cache.
+// the result. Terminal states persist; the ready model goes onto its
+// record.
 func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scenario, level, order int) {
 	defer s.runners.Done()
 	defer s.release(id)
@@ -322,7 +336,7 @@ func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scen
 		s.mu.Unlock()
 		return
 	}
-	rec.modelRaw = modelRaw
+	rec.modelRaw, rec.model = modelRaw, model
 	m := rec.meta
 	m.Status = api.SurrogateReady
 	m.GeometryKey = model.GeometryKey
@@ -340,7 +354,6 @@ func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scen
 	m.BuildS = time.Since(start).Seconds()
 	_ = s.persistSurrogateLocked(id)
 	s.mu.Unlock()
-	s.scache.Put(model)
 }
 
 // runSurrogateBuild wraps the build in the job-level panic boundary.
@@ -415,9 +428,9 @@ func surrogateFallback(rec *surrogateRecord, q *api.SurrogateQuery) *api.Batch {
 	}
 }
 
-// handleSurrogateQuery answers statistics queries from the ready-model
-// cache. Misses and out-of-domain queries return typed problems carrying
-// the FEM fallback batch.
+// handleSurrogateQuery answers statistics queries from the ready model on
+// the surrogate's record. Misses and out-of-domain queries return typed
+// problems carrying the FEM fallback batch.
 func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.PathValue("id")
@@ -437,8 +450,9 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rec, ok := s.surr[id]
 	var status string
+	var model *surrogate.Model
 	if ok {
-		status = rec.meta.Status
+		status, model = rec.meta.Status, rec.model
 	}
 	s.mu.Unlock()
 
@@ -462,18 +476,6 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, e)
 		return
 	}
-	model, ok := s.scache.Get(id)
-	if !ok {
-		// Metadata says ready but the cache lost the model (cannot happen
-		// in-process; defensive for future eviction policies).
-		s.mSurrQueries["miss"].Inc()
-		e := api.NewError(http.StatusConflict, api.CodeSurrogateNotReady,
-			"surrogate "+id+" is not cached; rebuild or run the fallback job")
-		e.FallbackJob = surrogateFallback(rec, &q)
-		api.WriteError(w, r, e)
-		return
-	}
-
 	ans, err := model.Answer(q)
 	if err != nil {
 		if surrogate.IsDomainError(err) {

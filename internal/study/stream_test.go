@@ -103,24 +103,32 @@ func TestStreamingStudyCheckpointResume(t *testing.T) {
 	sampler := func() uq.Sampler {
 		return uq.PseudoRandom{D: GermDim(12, DefaultRho), Seed: seed}
 	}
-	whole, _, err := RunStreamingStudyWith(context.Background(), newSim(), Params{Rho: DefaultRho}, sampler(),
-		StreamOptions{Samples: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	run := func(o uq.CampaignOptions) (*Fig7, *uq.CampaignResult) {
+		t.Helper()
+		sim := newSim()
+		o.Workers, o.Threshold = 2, degrade.DefaultCriticalTemp
+		camp, err := uq.RunCampaign(context.Background(), ParamFactory(sim, Params{Rho: DefaultRho}),
+			GermDists(12, DefaultRho), sampler(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f7, err := BuildFig7FromCampaign(Times(sim.Options()), camp, 12, degrade.DefaultCriticalTemp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f7, camp
 	}
+	whole, _ := run(uq.CampaignOptions{MaxSamples: m})
 
 	path := filepath.Join(t.TempDir(), "study.ckpt")
 	// Phase 1: half the budget, checkpointing every sample.
-	if _, _, err := RunStreamingStudyWith(context.Background(), newSim(), Params{Rho: DefaultRho}, sampler(),
-		StreamOptions{Samples: m / 2, Workers: 2, Checkpoint: path, CheckpointEvery: 1}); err != nil {
-		t.Fatal(err)
-	}
+	run(uq.CampaignOptions{MaxSamples: m / 2, CheckpointPath: path, CheckpointEvery: 1})
 	// Phase 2: resume to the full budget.
-	resumed, camp, err := RunStreamingStudyWith(context.Background(), newSim(), Params{Rho: DefaultRho}, sampler(),
-		StreamOptions{Samples: m, Workers: 2, Checkpoint: path, Resume: true})
+	cp, err := uq.LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resumed, camp := run(uq.CampaignOptions{MaxSamples: m, CheckpointPath: path, Resume: cp})
 	if camp.Evaluated != m {
 		t.Fatalf("resumed campaign evaluated %d, want %d", camp.Evaluated, m)
 	}

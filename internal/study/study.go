@@ -340,72 +340,6 @@ func BuildFig7FromCampaign(times []float64, c *uq.CampaignResult, nWires int, tC
 	return f, nil
 }
 
-// StreamOptions controls a streaming (constant-memory) Monte Carlo study:
-// the campaign budget, worker pool, adaptive stopping targets and
-// checkpointing. The zero value of TCrit selects the default critical
-// temperature.
-type StreamOptions struct {
-	Samples int // sample budget M
-	Workers int // parallel workers; 0 = GOMAXPROCS
-
-	// TargetSE stops once every output's MC standard error (eq. 6) is at or
-	// below it; TargetCI stops once the 95% failure-probability confidence
-	// half-width is. Zero disables a rule.
-	TargetSE float64
-	TargetCI float64
-
-	// Checkpoint, when set, periodically persists resumable campaign state
-	// to this path; with Resume an existing checkpoint file is loaded and
-	// the campaign continues from it bit-for-bit.
-	Checkpoint      string
-	CheckpointEvery int
-	Resume          bool
-	// Tag is an opaque model/configuration identity recorded in
-	// checkpoints and required to match on resume (see uq.CampaignOptions).
-	Tag string
-
-	// TCrit is the failure threshold driving exceedance tracking and the
-	// Fig. 7 crossing diagnostics (0 = degrade.DefaultCriticalTemp).
-	TCrit float64
-
-	// Shards partitions the sample range into this many self-contained
-	// shards run in shard order and merged at fixed block granularity
-	// (bit-identical for any shard count; see uq.ShardPlan). 0 keeps the
-	// single-fold campaign; 1 is a one-shard campaign through the same
-	// merge layer. Sharded studies are budget-only: adaptive targets are
-	// rejected, and checkpoints go to "<path>.shard-N" files.
-	Shards int
-	// ShardBlock is the merge granularity (0 = uq.DefaultShardBlockSize).
-	ShardBlock int
-
-	// OnSample forwards per-evaluation progress (concurrent, like
-	// uq.EnsembleOptions.OnSample).
-	OnSample func(i int, err error)
-}
-
-// ShardOptions returns the uq.ShardOptions every shard of a sharded study
-// runs with. The local sharded path and fleet workers both derive theirs
-// here, so shards from either merge into the same bits.
-func (o StreamOptions) ShardOptions() uq.ShardOptions {
-	return uq.ShardOptions{
-		Workers:         o.Workers,
-		Threshold:       o.tCrit(),
-		Tag:             o.Tag,
-		CheckpointPath:  o.Checkpoint,
-		CheckpointEvery: o.CheckpointEvery,
-		Resume:          o.Resume,
-		OnSample:        o.OnSample,
-	}
-}
-
-// tCrit resolves the failure threshold, defaulting a zero TCrit.
-func (o StreamOptions) tCrit() float64 {
-	if o.TCrit == 0 {
-		return degrade.DefaultCriticalTemp
-	}
-	return o.TCrit
-}
-
 // Times returns the recorded time grid of a transient run under o: the
 // NumSteps+1 points EndTime·i/NumSteps, the times_s every study result
 // reports.
@@ -415,60 +349,6 @@ func Times(o core.Options) []float64 {
 		times[i] = o.EndTime * float64(i) / float64(o.NumSteps)
 	}
 	return times
-}
-
-// RunStreamingStudyWith runs the Monte Carlo study on an existing base
-// simulator with an explicit elongation law and sampler — the one chip-study
-// driver behind scenarios, figures and examples. The campaign folds
-// wire-temperature outputs into O(NumOutputs) accumulators as samples
-// complete, so the sample budget does not bound memory. The moments are
-// bit-identical to a stored ensemble for any worker count, and a sharded
-// campaign's for any shard count.
-// On cancellation the partial campaign is returned together with the
-// context error (a checkpoint, when configured, has been written).
-func RunStreamingStudyWith(ctx context.Context, base *core.Simulator, p Params, sampler uq.Sampler, o StreamOptions) (*Fig7, *uq.CampaignResult, error) {
-	factory := ParamFactory(base, p)
-	dists := GermDists(len(base.Wires()), p.Rho)
-	var camp *uq.CampaignResult
-	var err error
-	if o.Shards >= 1 {
-		if o.TargetSE > 0 || o.TargetCI > 0 {
-			return nil, nil, fmt.Errorf("study: sharded campaigns are budget-only; drop the adaptive targets or the shards")
-		}
-		plan, perr := uq.PlanShards(o.Samples, o.Shards, o.ShardBlock)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		camp, err = uq.RunShardedCampaign(ctx, factory, dists, sampler, plan, o.ShardOptions())
-	} else {
-		copt := uq.CampaignOptions{
-			MaxSamples:      o.Samples,
-			Workers:         o.Workers,
-			TargetSE:        o.TargetSE,
-			TargetCI:        o.TargetCI,
-			Threshold:       o.tCrit(),
-			CheckpointPath:  o.Checkpoint,
-			CheckpointEvery: o.CheckpointEvery,
-			Tag:             o.Tag,
-			OnSample:        o.OnSample,
-		}
-		if o.Resume && o.Checkpoint != "" {
-			cp, lerr := uq.LoadCheckpointIfExists(o.Checkpoint)
-			if lerr != nil {
-				return nil, nil, lerr
-			}
-			copt.Resume = cp
-		}
-		camp, err = uq.RunCampaign(ctx, factory, dists, sampler, copt)
-	}
-	if err != nil {
-		return nil, camp, err
-	}
-	f7, err := BuildFig7FromCampaign(Times(base.Options()), camp, len(base.Wires()), o.tCrit())
-	if err != nil {
-		return nil, camp, err
-	}
-	return f7, camp, nil
 }
 
 // RunPaperStudy is the one-call reproduction of the paper's Monte Carlo
@@ -484,9 +364,14 @@ func RunPaperStudy(spec chipmodel.Spec, opt core.Options, m int, seed uint64, wo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sampler := uq.PseudoRandom{D: GermDim(len(base.Wires()), rho), Seed: seed}
-	f7, camp, err := RunStreamingStudyWith(context.Background(), base, Params{Rho: rho}, sampler,
-		StreamOptions{Samples: m, Workers: workers})
+	dists := GermDists(len(base.Wires()), rho)
+	camp, err := uq.RunCampaign(context.Background(), ParamFactory(base, Params{Rho: rho}), dists,
+		uq.PseudoRandom{D: len(dists), Seed: seed},
+		uq.CampaignOptions{MaxSamples: m, Workers: workers, Threshold: degrade.DefaultCriticalTemp})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	f7, err := BuildFig7FromCampaign(Times(base.Options()), camp, len(base.Wires()), degrade.DefaultCriticalTemp)
 	if err != nil {
 		return nil, nil, nil, err
 	}

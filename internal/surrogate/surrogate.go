@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"etherm/api"
 	"etherm/internal/uq"
@@ -502,64 +501,4 @@ func (m *Model) DeltaDomain() (lo, hi float64) {
 	lo = math.Max(deltaMin, m.Mu-m.Sigma*gmax)
 	hi = math.Min(deltaMax, m.Mu+m.Sigma*gmax)
 	return lo, hi
-}
-
-// Cache is the in-memory ready-model cache the server keeps next to the
-// assembly cache: content-addressed, hit/miss-counted for /metrics.
-type Cache struct {
-	mu     sync.Mutex
-	models map[string]*Model
-	hits   int64
-	misses int64
-}
-
-// NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{models: map[string]*Model{}} }
-
-// Get returns the cached model, counting the lookup as a hit or miss.
-func (c *Cache) Get(id string) (*Model, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.models[id]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return m, ok
-}
-
-// Put stores a built model under its ID.
-func (c *Cache) Put(m *Model) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.models[m.ID] = m
-}
-
-// Delete removes a model.
-func (c *Cache) Delete(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.models, id)
-}
-
-// Len returns the number of cached models.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.models)
-}
-
-// Hits returns the lifetime hit count.
-func (c *Cache) Hits() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses returns the lifetime miss count.
-func (c *Cache) Misses() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
 }

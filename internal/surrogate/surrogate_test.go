@@ -307,23 +307,3 @@ func TestValidateRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheCounts: the serving cache counts hits and misses for /metrics.
-func TestCacheCounts(t *testing.T) {
-	c := NewCache()
-	m := buildFin(t, 2)
-	if _, ok := c.Get(m.ID); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(m)
-	if got, ok := c.Get(m.ID); !ok || got != m {
-		t.Fatal("cached model not returned")
-	}
-	if c.Hits() != 1 || c.Misses() != 1 || c.Len() != 1 {
-		t.Errorf("counts hits=%d misses=%d len=%d, want 1/1/1", c.Hits(), c.Misses(), c.Len())
-	}
-	c.Delete(m.ID)
-	if c.Len() != 0 {
-		t.Error("delete left the model cached")
-	}
-}

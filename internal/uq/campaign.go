@@ -194,16 +194,6 @@ func fingerprintFirst(s Sampler, n int) uint64 {
 	return h
 }
 
-// checkSamplerFP validates a checkpointed fingerprint against the current
-// sampler. A zero stored value (never fingerprinted) passes; anything else
-// must match the current stream exactly.
-func checkSamplerFP(stored uint64, s Sampler) error {
-	if stored == 0 || stored == samplerFingerprint(s) {
-		return nil
-	}
-	return fmt.Errorf("uq: checkpoint was written by a different %s sample stream (changed seed, shift, scramble or design size)", s.Name())
-}
-
 // saveAtomicJSON marshals v and writes it atomically (temp file + rename in
 // the destination directory), creating parent directories as needed. All
 // checkpoint writers share it so a crash mid-write never leaves a torn
@@ -256,9 +246,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // LoadCheckpointIfExists loads a checkpoint when the file exists and
-// returns (nil, nil) when it does not — the resume-if-present pattern of
-// the scenario engine and study front-ends. Errors other than absence
-// (unreadable file, corrupt state) are reported, not swallowed.
+// returns (nil, nil) when it does not — the scenario engine's
+// resume-if-present pattern. Errors other than absence (unreadable file,
+// corrupt state) are reported, not swallowed.
 func LoadCheckpointIfExists(path string) (*Checkpoint, error) {
 	c, err := LoadCheckpoint(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -273,41 +263,157 @@ type sample struct {
 	err         error
 }
 
-// sampleWorkers builds the worker models for the given number of remaining
-// samples through pool.Build, the probe as worker 0; workers ≤ 0 means
-// GOMAXPROCS.
-func sampleWorkers(probe Model, factory ModelFactory, workers, remaining int) ([]Model, error) {
+// fold is the ordered fold of sampler points through worker models that
+// RunCampaign and RunShard share. Each sets the fields up to step, calls
+// prepare and then run; save writes its checkpoint at next, step decides
+// what sample i folds into and whether to go on.
+type fold struct {
+	factory  ModelFactory
+	dists    []Dist
+	s        Sampler
+	name     string // "campaign" or "shard k", in error messages
+	first    int    // index the failure accounting counts from
+	end      int    // the fold covers [next, end)
+	workers  int    // ≤ 0 means GOMAXPROCS
+	onSample func(i int, err error)
+	cpPath   string // checkpoint file; "" writes none
+	cpEvery  int    // ≤ 0 means DefaultCheckpointEvery
+	save     func(path string) error
+	step     func(i int, r *sample) bool
+
+	probe Model // worker 0's model, set by prepare with nOut and fp
+	nOut  int
+	fp    uint64
+
+	// Accounting; a resumed campaign or shard preloads next and failures.
+	next, failures int
+	firstErr       error
+	canceled       bool
+}
+
+// prepare checks the sampler, distributions and budget against each other
+// and against the factory's first model, which becomes worker 0.
+func (f *fold) prepare(budget int) error {
+	if f.s.Dim() != len(f.dists) {
+		return fmt.Errorf("uq: sampler dimension %d does not match %d distributions", f.s.Dim(), len(f.dists))
+	}
+	if err := CheckBudget(f.s, budget); err != nil {
+		return err
+	}
+	probe, err := f.factory()
+	if err != nil {
+		return fmt.Errorf("uq: model factory: %w", err)
+	}
+	if probe.Dim() != len(f.dists) {
+		return fmt.Errorf("uq: model dimension %d does not match %d distributions", probe.Dim(), len(f.dists))
+	}
+	f.probe, f.nOut, f.fp = probe, probe.NumOutputs(), samplerFingerprint(f.s)
+	return nil
+}
+
+// checkResume is the resume guard of both checkpoint formats: it rejects
+// state that another sample stream, model or threshold wrote, so a resume
+// never silently absorbs mixed samples. cp carries the stored identity in
+// the campaign checkpoint's fields (a shard checkpoint records no Dim; a
+// zero SamplerFP was never fingerprinted and passes), and stored is the
+// threshold the state tracked.
+func (f *fold) checkResume(cp Checkpoint, stored float64, tag string, threshold float64) error {
+	switch {
+	case cp.Sampler != f.s.Name():
+		return fmt.Errorf("uq: checkpoint sampler %q does not match campaign sampler %q", cp.Sampler, f.s.Name())
+	case cp.Dim != 0 && cp.Dim != f.s.Dim():
+		return fmt.Errorf("uq: checkpoint sampler dimension %d does not match campaign dimension %d", cp.Dim, f.s.Dim())
+	case cp.SamplerFP != 0 && cp.SamplerFP != f.fp:
+		return fmt.Errorf("uq: checkpoint was written by a different %s sample stream (changed seed, shift, scramble or design size)", f.s.Name())
+	case cp.Tag != tag:
+		return fmt.Errorf("uq: checkpoint tag %q does not match campaign tag %q (model or configuration changed)", cp.Tag, tag)
+	case cp.NumOutputs != f.nOut:
+		return fmt.Errorf("uq: checkpoint has %d outputs, model has %d", cp.NumOutputs, f.nOut)
+	case stored != threshold:
+		return fmt.Errorf("uq: checkpoint threshold %g does not match campaign threshold %g", stored, threshold)
+	}
+	return nil
+}
+
+// run evaluates sampler points [next, end) through dists into the worker
+// models and folds them in strict index order, so every accumulator sees
+// the same sequence for any worker count. A failing or panicking model
+// marks its sample failed (counted, the first error kept) instead of
+// stopping the fold. The checkpoint is written every cpEvery folded
+// samples and once at the end.
+//
+// partial reports that the caller's result goes back with err: the
+// context ended the fold (err is ctx.Err()) or the checkpoint write
+// failed. Any other error leaves no result, including a fold in which
+// every evaluation failed.
+func (f *fold) run(ctx context.Context) (partial bool, err error) {
+	workers := f.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return pool.Build(min(workers, remaining), func(k int) (Model, error) {
+	ws, err := pool.Build(min(workers, f.end-f.next), func(k int) (Model, error) {
 		if k == 0 {
-			return probe, nil
+			return f.probe, nil
 		}
-		m, err := factory()
+		m, err := f.factory()
 		if err != nil {
 			return nil, fmt.Errorf("uq: worker setup: %w", err)
 		}
 		return m, nil
 	})
-}
-
-// evalSample returns the pool evaluation of campaign sample i: sampler
-// point i through dists into the worker's model. A failing or panicking
-// model marks the sample failed instead of stopping the campaign.
-func evalSample(s Sampler, dists []Dist, nOut int, onSample func(int, error)) func(Model, int, *sample) error {
-	return func(m Model, i int, r *sample) error {
-		if r.out == nil {
-			r.params, r.out = make([]float64, len(dists)), make([]float64, nOut)
+	if err != nil {
+		return false, err
+	}
+	cpEvery := f.cpEvery
+	if cpEvery <= 0 {
+		cpEvery = DefaultCheckpointEvery
+	}
+	var cpErr error
+	write := func() {
+		if f.cpPath != "" && cpErr == nil {
+			cpErr = f.save(f.cpPath)
 		}
-		s.Sample(i, r.params)
-		TransformPoint(dists, r.params, r.params)
+	}
+	eval := func(m Model, i int, r *sample) error {
+		if r.out == nil {
+			r.params, r.out = make([]float64, len(f.dists)), make([]float64, f.nOut)
+		}
+		f.s.Sample(i, r.params)
+		TransformPoint(f.dists, r.params, r.params)
 		r.err = safeEval(m, r.params, r.out)
-		if onSample != nil {
-			onSample(i, r.err)
+		if f.onSample != nil {
+			f.onSample(i, r.err)
 		}
 		return nil
 	}
+	runErr := pool.Run(ctx, ws, f.next, f.end, eval, func(i int, r *sample) bool {
+		if r.err != nil {
+			f.failures++
+			if f.firstErr == nil {
+				f.firstErr = r.err
+			}
+		}
+		more := f.step(i, r)
+		f.next = i + 1
+		if f.cpPath != "" && f.next%cpEvery == 0 && f.next < f.end {
+			write()
+		}
+		return more
+	})
+	if runErr != nil && runErr != ctx.Err() {
+		return false, fmt.Errorf("uq: %s: %w", f.name, runErr)
+	}
+	f.canceled = runErr != nil
+	write()
+	switch {
+	case cpErr != nil:
+		return true, fmt.Errorf("uq: %s checkpoint: %w", f.name, cpErr)
+	case f.canceled:
+		return true, runErr
+	case f.failures > 0 && f.failures == f.next-f.first:
+		return false, fmt.Errorf("uq: every %s evaluation failed; first error: %w", f.name, f.firstErr)
+	}
+	return false, nil
 }
 
 // RunCampaign evaluates up to opt.MaxSamples sampler points through models
@@ -325,66 +431,50 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 	if opt.MaxSamples <= 0 {
 		return nil, fmt.Errorf("uq: campaign needs a positive sample budget")
 	}
-	if err := CheckBudget(s, opt.MaxSamples); err != nil {
+	f := &fold{
+		factory: factory, dists: dists, s: s, name: "campaign", end: opt.MaxSamples,
+		workers: opt.Workers, onSample: opt.OnSample,
+		cpPath: opt.CheckpointPath, cpEvery: opt.CheckpointEvery,
+	}
+	if err := f.prepare(opt.MaxSamples); err != nil {
 		return nil, err
 	}
-	if s.Dim() != len(dists) {
-		return nil, fmt.Errorf("uq: sampler dimension %d does not match %d distributions", s.Dim(), len(dists))
-	}
-	probe, err := factory()
-	if err != nil {
-		return nil, fmt.Errorf("uq: model factory: %w", err)
-	}
-	if probe.Dim() != len(dists) {
-		return nil, fmt.Errorf("uq: model dimension %d does not match %d distributions", probe.Dim(), len(dists))
-	}
-	nOut := probe.NumOutputs()
 
 	// Resume or fresh accumulator state.
-	start, failures := 0, 0
 	var st *stats.StreamStats
-	fp := samplerFingerprint(s)
-	if opt.Resume != nil {
-		cp := opt.Resume
+	if cp := opt.Resume; cp != nil {
 		if opt.StoreSamples {
 			return nil, fmt.Errorf("uq: checkpoint resume requires the streaming path (StoreSamples off)")
 		}
-		if cp.Sampler != s.Name() || (cp.Dim != 0 && cp.Dim != s.Dim()) || cp.NumOutputs != nOut {
-			return nil, fmt.Errorf("uq: checkpoint (sampler %s, dim %d, %d outputs) does not match campaign (sampler %s, dim %d, %d outputs)",
-				cp.Sampler, cp.Dim, cp.NumOutputs, s.Name(), s.Dim(), nOut)
+		threshold := opt.Threshold
+		if threshold <= 0 {
+			threshold = cp.Stats.Threshold // no threshold asked: keep the checkpoint's
 		}
-		if err := checkSamplerFP(cp.SamplerFP, s); err != nil {
+		if err := f.checkResume(*cp, cp.Stats.Threshold, opt.Tag, threshold); err != nil {
 			return nil, err
-		}
-		if cp.Tag != opt.Tag {
-			return nil, fmt.Errorf("uq: checkpoint tag %q does not match campaign tag %q (model or configuration changed)", cp.Tag, opt.Tag)
-		}
-		if opt.Threshold > 0 && cp.Stats.Threshold != opt.Threshold {
-			return nil, fmt.Errorf("uq: checkpoint threshold %g does not match campaign threshold %g", cp.Stats.Threshold, opt.Threshold)
 		}
 		if len(opt.Quantiles) > 0 && len(opt.Quantiles) != len(cp.Stats.Probs) {
 			return nil, fmt.Errorf("uq: checkpoint sketches %d quantiles, campaign wants %d", len(cp.Stats.Probs), len(opt.Quantiles))
 		}
-		st = cp.Stats
-		start, failures = cp.Next, cp.Failures
+		st, f.next, f.failures = cp.Stats, cp.Next, cp.Failures
 	} else {
-		st, err = stats.NewStreamStats(nOut, opt.Threshold, opt.Quantiles)
-		if err != nil {
+		var err error
+		if st, err = stats.NewStreamStats(f.nOut, opt.Threshold, opt.Quantiles); err != nil {
 			return nil, err
 		}
 	}
 
 	res := &CampaignResult{
 		SamplerName: s.Name(),
-		SamplerFP:   fp,
+		SamplerFP:   f.fp,
 		Tag:         opt.Tag,
-		NumOutputs:  nOut,
+		NumOutputs:  f.nOut,
 		Requested:   opt.MaxSamples,
-		Evaluated:   start,
-		Failures:    failures,
+		Evaluated:   f.next,
+		Failures:    f.failures,
 		Stats:       st,
 	}
-	if start >= opt.MaxSamples {
+	if f.next >= opt.MaxSamples {
 		res.StopReason = StopBudget
 		return res, nil
 	}
@@ -399,88 +489,52 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 	// batch. Mid-batch checkpoints (cancellation) skip this so the resumed
 	// run keeps making exactly the boundary decisions of an uninterrupted
 	// one.
-	if start > 0 && start%batch == 0 {
+	if f.next > 0 && f.next%batch == 0 {
 		if r := stopReason(st, opt); r != "" {
 			res.StopReason = r
 			return res, nil
 		}
 	}
-	cpEvery := opt.CheckpointEvery
-	if cpEvery <= 0 {
-		cpEvery = DefaultCheckpointEvery
-	}
 
-	ws, err := sampleWorkers(probe, factory, opt.Workers, opt.MaxSamples-start)
-	if err != nil {
-		return nil, err
-	}
 	var ens *Ensemble
 	if opt.StoreSamples {
 		ens = &Ensemble{
 			SamplerName: s.Name(),
-			M:           opt.MaxSamples,
-			NumOutputs:  nOut,
+			NumOutputs:  f.nOut,
 			Params:      make([][]float64, opt.MaxSamples),
 			Outputs:     make([][]float64, opt.MaxSamples),
 		}
 	}
-
-	next := start
-	var firstErr, cpErr error
-	writeCheckpoint := func() {
-		if opt.CheckpointPath == "" || cpErr != nil {
-			return
-		}
-		cp := &Checkpoint{
-			Version: 1, Sampler: s.Name(), Dim: s.Dim(), NumOutputs: nOut,
-			SamplerFP: fp, Tag: opt.Tag,
-			Next: next, Failures: res.Failures, Stats: st,
-		}
-		cpErr = cp.Save(opt.CheckpointPath)
+	f.save = func(path string) error {
+		res.Evaluated, res.Failures = f.next, f.failures
+		cp := res.Checkpoint()
+		cp.Dim = s.Dim()
+		return cp.Save(path)
 	}
-	// The pool folds samples in strict index order, so the accumulators
-	// see exactly the sequence start, start+1, … for any worker count.
-	fold := func(i int, r *sample) bool {
-		if r.err != nil {
-			res.Failures++
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		} else {
+	f.step = func(i int, r *sample) bool {
+		if r.err == nil {
 			st.Add(r.out)
 			if ens != nil {
 				ens.Params[i] = slices.Clone(r.params)
 				ens.Outputs[i] = slices.Clone(r.out)
 			}
 		}
-		next = i + 1
-		res.Evaluated = next
-		if opt.CheckpointPath != "" && next%cpEvery == 0 {
-			writeCheckpoint()
+		if n := i + 1; n < opt.MaxSamples && n%batch == 0 {
+			res.StopReason = stopReason(st, opt)
 		}
-		if next < opt.MaxSamples && next%batch == 0 {
-			if r := stopReason(st, opt); r != "" {
-				res.StopReason = r
-				return false
-			}
-		}
-		return true
+		return res.StopReason == ""
 	}
-	switch err := pool.Run(ctx, ws, start, opt.MaxSamples, evalSample(s, dists, nOut, opt.OnSample), fold); {
-	case err == nil:
-	case err == ctx.Err():
+	partial, err := f.run(ctx)
+	if err != nil && !partial {
+		return nil, err
+	}
+	res.Evaluated, res.Failures = f.next, f.failures
+	switch {
+	case f.canceled:
 		res.StopReason = StopCanceled
-	default:
-		return nil, fmt.Errorf("uq: campaign: %w", err)
-	}
-	if res.StopReason == "" {
+	case res.StopReason == "":
 		res.StopReason = StopBudget
 	}
-	writeCheckpoint()
-	if cpErr != nil {
-		return res, fmt.Errorf("uq: campaign checkpoint: %w", cpErr)
-	}
-
 	if ens != nil {
 		ens.M = res.Evaluated
 		ens.Params = ens.Params[:res.Evaluated]
@@ -488,13 +542,7 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		ens.Failures = res.Failures
 		res.Ensemble = ens
 	}
-	if res.Failures == res.Evaluated && res.Evaluated > 0 {
-		return nil, fmt.Errorf("uq: every campaign evaluation failed; first error: %w", firstErr)
-	}
-	if res.StopReason == StopCanceled {
-		return res, ctx.Err()
-	}
-	return res, nil
+	return res, err
 }
 
 // stopReason evaluates the adaptive stopping rules on the folded prefix.

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io/fs"
 
-	"etherm/internal/pool"
 	"etherm/internal/stats"
 )
 
@@ -197,33 +196,6 @@ func LoadShardCheckpoint(path string) (*ShardCheckpoint, error) {
 	return &c, nil
 }
 
-// validate rejects a stale or foreign shard checkpoint — PR 3's
-// fingerprint/tag guard applied per shard, plus the plan geometry that
-// decides which samples belong to the shard.
-func (c *ShardCheckpoint) validate(s Sampler, fp uint64, plan *ShardPlan, shard, start, end, nOut int, opt ShardOptions) error {
-	fpErr := checkSamplerFP(c.SamplerFP, s)
-	switch {
-	case c.Sampler != s.Name():
-		return fmt.Errorf("uq: shard checkpoint sampler %q does not match campaign sampler %q", c.Sampler, s.Name())
-	case fpErr != nil:
-		return fpErr
-	case c.Tag != opt.Tag:
-		return fmt.Errorf("uq: shard checkpoint tag %q does not match campaign tag %q (model or configuration changed)", c.Tag, opt.Tag)
-	case c.Shard != shard || c.Start != start || c.End != end || c.BlockSize != plan.BlockSize:
-		return fmt.Errorf("uq: shard checkpoint covers shard %d [%d,%d) blocks of %d, campaign plans shard %d [%d,%d) blocks of %d (shard plan changed)",
-			c.Shard, c.Start, c.End, c.BlockSize, shard, start, end, plan.BlockSize)
-	case c.NumOutputs != nOut:
-		return fmt.Errorf("uq: shard checkpoint has %d outputs, model has %d", c.NumOutputs, nOut)
-	case c.Threshold != opt.Threshold:
-		return fmt.Errorf("uq: shard checkpoint threshold %g does not match campaign threshold %g", c.Threshold, opt.Threshold)
-	case c.Next < start || c.Next > end:
-		return fmt.Errorf("uq: shard checkpoint position %d outside shard range [%d,%d)", c.Next, start, end)
-	case len(c.Blocks) != plan.shardBlocks(start, c.Next):
-		return fmt.Errorf("uq: shard checkpoint has %d blocks for %d folded samples (corrupt state)", len(c.Blocks), c.Next-start)
-	}
-	return nil
-}
-
 // RunShard evaluates shard k of the plan: sampler points [start, end)
 // through models from the factory, folded in strict index order into one
 // fresh stats.StreamStats per merge block. The result is bit-identical for
@@ -243,126 +215,87 @@ func RunShard(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler
 	if shard < 0 || shard >= plan.NumShards {
 		return nil, fmt.Errorf("uq: shard %d outside plan of %d shards", shard, plan.NumShards)
 	}
-	if s.Dim() != len(dists) {
-		return nil, fmt.Errorf("uq: sampler dimension %d does not match %d distributions", s.Dim(), len(dists))
+	start, end := plan.Shard(shard)
+	f := &fold{
+		factory: factory, dists: dists, s: s, name: fmt.Sprintf("shard %d", shard),
+		first: start, next: start, end: end,
+		workers: opt.Workers, onSample: opt.OnSample, cpEvery: opt.CheckpointEvery,
 	}
-	if err := CheckBudget(s, plan.MaxSamples); err != nil {
+	if opt.CheckpointPath != "" {
+		f.cpPath = ShardCheckpointPath(opt.CheckpointPath, shard)
+	}
+	if err := f.prepare(plan.MaxSamples); err != nil {
 		return nil, err
 	}
-	start, end := plan.Shard(shard)
-	fp := samplerFingerprint(s)
 
-	res := &ShardResult{
-		Shard: shard, Start: start, End: end, BlockSize: plan.BlockSize,
-		Sampler: s.Name(), SamplerFP: fp, Tag: opt.Tag,
-	}
-
-	probe, err := factory()
-	if err != nil {
-		return nil, fmt.Errorf("uq: model factory: %w", err)
-	}
-	if probe.Dim() != len(dists) {
-		return nil, fmt.Errorf("uq: model dimension %d does not match %d distributions", probe.Dim(), len(dists))
-	}
-	nOut := probe.NumOutputs()
-	res.NumOutputs = nOut
-
-	cpPath := ""
-	if opt.CheckpointPath != "" {
-		cpPath = ShardCheckpointPath(opt.CheckpointPath, shard)
-	}
-	next, failures := start, 0
 	var blocks []*stats.StreamStats
-	if opt.Resume && cpPath != "" {
-		cp, err := LoadShardCheckpoint(cpPath)
-		if errors.Is(err, fs.ErrNotExist) {
-			cp = nil
-		} else if err != nil {
+	if opt.Resume && f.cpPath != "" {
+		cp, err := LoadShardCheckpoint(f.cpPath)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
 			return nil, err
-		}
-		if cp != nil {
-			if err := cp.validate(s, fp, plan, shard, start, end, nOut, opt); err != nil {
+		default:
+			id := Checkpoint{Sampler: cp.Sampler, SamplerFP: cp.SamplerFP, Tag: cp.Tag, NumOutputs: cp.NumOutputs}
+			if err := f.checkResume(id, cp.Threshold, opt.Tag, opt.Threshold); err != nil {
 				return nil, err
 			}
-			next, failures, blocks = cp.Next, cp.Failures, cp.Blocks
+			// The plan geometry decides which samples belong to the shard.
+			switch {
+			case cp.Shard != shard || cp.Start != start || cp.End != end || cp.BlockSize != plan.BlockSize:
+				return nil, fmt.Errorf("uq: shard checkpoint covers shard %d [%d,%d) blocks of %d, campaign plans shard %d [%d,%d) blocks of %d (shard plan changed)",
+					cp.Shard, cp.Start, cp.End, cp.BlockSize, shard, start, end, plan.BlockSize)
+			case cp.Next < start || cp.Next > end:
+				return nil, fmt.Errorf("uq: shard checkpoint position %d outside shard range [%d,%d)", cp.Next, start, end)
+			case len(cp.Blocks) != plan.shardBlocks(start, cp.Next):
+				return nil, fmt.Errorf("uq: shard checkpoint has %d blocks for %d folded samples (corrupt state)", len(cp.Blocks), cp.Next-start)
+			}
+			f.next, f.failures, blocks = cp.Next, cp.Failures, cp.Blocks
 		}
 	}
-	res.Evaluated = next - start
-	res.Failures = failures
-	res.Blocks = blocks
-	if next >= end {
+	res := &ShardResult{
+		Shard: shard, Start: start, End: end, BlockSize: plan.BlockSize,
+		Sampler: s.Name(), SamplerFP: f.fp, Tag: opt.Tag, NumOutputs: f.nOut,
+		Evaluated: f.next - start, Failures: f.failures, Blocks: blocks,
+	}
+	if f.next >= end {
 		return res, nil // empty shard or already-complete checkpoint
 	}
 
 	// Validate the accumulator construction once, before any worker starts:
-	// the fold's constructor below then cannot fail (it sketches no
+	// the step's constructor below then cannot fail (it sketches no
 	// quantiles).
-	if _, err := stats.NewStreamStats(nOut, opt.Threshold, nil); err != nil {
+	if _, err := stats.NewStreamStats(f.nOut, opt.Threshold, nil); err != nil {
 		return nil, err
 	}
-	cpEvery := opt.CheckpointEvery
-	if cpEvery <= 0 {
-		cpEvery = DefaultCheckpointEvery
-	}
-	ws, err := sampleWorkers(probe, factory, opt.Workers, end-next)
-	if err != nil {
-		return nil, err
-	}
-
-	var firstErr, cpErr error
-	writeCheckpoint := func() {
-		if cpPath == "" || cpErr != nil {
-			return
-		}
+	f.save = func(path string) error {
 		cp := &ShardCheckpoint{
-			Version: 1, Sampler: s.Name(), SamplerFP: fp, Tag: opt.Tag,
+			Version: 1, Sampler: s.Name(), SamplerFP: f.fp, Tag: opt.Tag,
 			Shard: shard, Start: start, End: end, BlockSize: plan.BlockSize,
-			NumOutputs: nOut, Threshold: opt.Threshold,
-			Next: next, Failures: res.Failures, Blocks: blocks,
+			NumOutputs: f.nOut, Threshold: opt.Threshold,
+			Next: f.next, Failures: f.failures, Blocks: blocks,
 		}
-		cpErr = cp.Save(cpPath)
+		return cp.Save(path)
 	}
-
-	// Ordered fold, as in RunCampaign, with one twist: crossing a global
-	// block boundary starts a fresh accumulator set, so blocks are
-	// independent of everything but the sample stream.
-	fold := func(i int, r *sample) bool {
+	// Crossing a global block boundary starts a fresh accumulator set, even
+	// when the block's first sample failed, so blocks are independent of
+	// everything but the sample stream.
+	f.step = func(i int, r *sample) bool {
 		if i%plan.BlockSize == 0 || len(blocks) == 0 {
-			st, _ := stats.NewStreamStats(nOut, opt.Threshold, nil) // validated above
+			st, _ := stats.NewStreamStats(f.nOut, opt.Threshold, nil) // validated above
 			blocks = append(blocks, st)
 		}
-		if r.err != nil {
-			res.Failures++
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		} else {
+		if r.err == nil {
 			blocks[len(blocks)-1].Add(r.out)
-		}
-		next = i + 1
-		res.Evaluated = next - start
-		if next%cpEvery == 0 && next < end {
-			writeCheckpoint()
 		}
 		return true
 	}
-	runErr := pool.Run(ctx, ws, next, end, evalSample(s, dists, nOut, opt.OnSample), fold)
-	if runErr != nil && runErr != ctx.Err() {
-		return nil, fmt.Errorf("uq: shard %d: %w", shard, runErr)
+	partial, err := f.run(ctx)
+	if err != nil && !partial {
+		return nil, err
 	}
-	res.Blocks = blocks
-
-	writeCheckpoint()
-	if cpErr != nil {
-		return res, fmt.Errorf("uq: shard checkpoint: %w", cpErr)
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	if res.Failures == res.Evaluated && res.Evaluated > 0 {
-		return nil, fmt.Errorf("uq: every evaluation of shard %d failed; first error: %w", shard, firstErr)
-	}
-	return res, nil
+	res.Evaluated, res.Failures, res.Blocks = f.next-start, f.failures, blocks
+	return res, err
 }
 
 // MergeShards folds complete shard results back into one campaign result by
@@ -439,16 +372,7 @@ func MergeShards(plan *ShardPlan, results []*ShardResult) (*CampaignResult, erro
 			}
 		}
 	}
-	if merged == nil {
-		// Every shard was empty; impossible for a valid plan, but keep the
-		// result well-formed.
-		st, err := stats.NewStreamStats(first.NumOutputs, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		merged = st
-	}
-	res.Stats = merged
+	res.Stats = merged // non-nil: a valid plan has at least one block
 	if res.Failures == res.Evaluated && res.Evaluated > 0 {
 		return nil, fmt.Errorf("uq: every evaluation of the sharded campaign failed")
 	}
