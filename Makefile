@@ -86,7 +86,8 @@ bench-test:
 # artifact generator (Fig. 7 at M = 4, the Fig. 8 field and the nominal
 # all-wire history, ~7 s), the bundled scenario suite (nominal, Monte
 # Carlo, Sobol' and Smolyak scenarios, ~30 s on 2 cores) and the campaign
-# paths the suite leaves out (adaptive stop, checkpoint, shards; ~13 s).
+# paths the suite leaves out (adaptive stop, checkpoint, shards, and the
+# LHS, Halton, scrambled Sobol' and RQMC samplers; ~10 s on 2 cores).
 # CI's verify job runs it.
 cli-smoke:
 	$(GO) run ./cmd/figures -samples 4 -out out/cli-smoke/figures
@@ -145,13 +146,14 @@ profile:
 # corpus — CI runs this on every push; long exploratory runs stay local
 # (`go test -fuzz ... -fuzztime 10m`). FuzzWALReplay/FuzzSnapshotDecode
 # cover the jobstore crash-recovery decoders; FuzzScrambledSobol checks
-# the Owen-scrambled Sobol' invariants (range, determinism, coordinate
-# balance) over arbitrary dimension/seed/index triples.
+# the Owen-scrambled Sobol' sampler of internal/uq (clean rejection of bad
+# dimensions, in-range and pure points) over arbitrary
+# dimension/seed/index triples.
 FUZZ_TIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/jobstore -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/jobstore -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZ_TIME)
-	$(GO) test ./internal/rare -run '^$$' -fuzz '^FuzzScrambledSobol$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/uq -run '^$$' -fuzz '^FuzzScrambledSobol$$' -fuzztime $(FUZZ_TIME)
 
 # load-smoke drives cmd/etload against an in-process server: a sustained
 # throughput pass plus the surrogate read-traffic phase (500 queries from 16

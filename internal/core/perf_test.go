@@ -76,10 +76,10 @@ func TestSteadyStateSolveZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPrecondLifecycle pins the cached-preconditioner contract: one build
-// per operator per run, refreshes only when the lag policy triggers, no
-// fallbacks on healthy SPD systems, and a reset between runs (run-to-run
-// determinism).
+// TestPrecondLifecycle pins the cached-preconditioner contract: one
+// factorization per operator per run, serving every solve of that run
+// unrefreshed, no fallbacks on healthy SPD systems, and a reset between
+// runs (run-to-run determinism).
 func TestPrecondLifecycle(t *testing.T) {
 	p := wiredProblem(t)
 	s, err := NewSimulator(p, Options{EndTime: 2, NumSteps: 5})
@@ -96,9 +96,9 @@ func TestPrecondLifecycle(t *testing.T) {
 	if first.Stats.PrecondFallbacks != 0 || first.Stats.PrecondFallbackReason != "" {
 		t.Errorf("unexpected fallback: %+v", first.Stats)
 	}
-	if first.Stats.ThermSolves > 0 && first.Stats.PrecondRefreshes >= first.Stats.ThermSolves {
-		t.Errorf("lag policy refreshed every solve (%d refreshes for %d solves)",
-			first.Stats.PrecondRefreshes, first.Stats.ThermSolves)
+	if first.Stats.PrecondRefreshes != 0 {
+		t.Errorf("a factor was refreshed %d times; one factor serves the whole run",
+			first.Stats.PrecondRefreshes)
 	}
 	second, err := s.Run()
 	if err != nil {

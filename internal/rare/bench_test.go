@@ -52,7 +52,7 @@ func BenchmarkRareSolves(b *testing.B) {
 		const reps = 8
 		var solves int
 		for i := 0; i < b.N; i++ {
-			q, err := NewRQMC(1, reps, 4242)
+			q, err := uq.NewRQMC(1, reps, 4242)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func BenchmarkRareSolves(b *testing.B) {
 					counters[q.Replicate(n)].Observe(finTempU(u[0]) >= tcrit)
 					n++
 				}
-				est, err := EstimateReplicates(counters)
+				est, err := uq.EstimateReplicates(counters)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,3 +1,17 @@
+// Package rare estimates small failure probabilities — P(T_max ≥ T_crit)
+// down to 1e-8 — orders of magnitude cheaper than plain Monte Carlo. It
+// follows the companion paper "Determination of Bond Wire Failure
+// Probabilities in Microelectronic Packages" (arXiv:1609.06187): bond-wire
+// failure probabilities of industrial interest sit at 1e-6..1e-8, where
+// direct MC needs ~1e8 FEM solves per answered probability.
+//
+// The estimators change the sampling *distribution*, not the sampler:
+// subset simulation (subset.go) walks a chain of conditional levels toward
+// the failure domain, importance sampling (importance.go) shifts the germ
+// mean toward it. Both emit stats.ExceedCounter-backed estimates with CoV
+// diagnostics. The unit-cube samplers, Owen-scrambled Sobol' and
+// randomized QMC with its replicate estimator included, live in
+// internal/uq.
 package rare
 
 import (
@@ -86,18 +100,12 @@ type SubsetConfig struct {
 	// PF = P0^12 = 1e-12 before the final conditional factor).
 	MaxLevels int
 	// Seed keys every random decision. Two runs with equal config are
-	// bit-identical, for any Workers or Shards value.
+	// bit-identical, for any Workers value.
 	Seed uint64
 	// Step is the component proposal standard deviation (default 1).
 	Step float64
 	// Workers caps concurrent limit-state evaluations (default 1).
 	Workers int
-	// Shards logically partitions each level's chains into contiguous
-	// groups evaluated as independent units, proving the fleet-split
-	// invariance: results are bit-identical for any Shards ≥ 1 because
-	// every chain's randomness is keyed by (Seed, level, chain), not by
-	// execution order. Default 1.
-	Shards int
 	// OnLevel, when set, receives each completed level's statistics —
 	// the telemetry hook behind SSE per-level progress.
 	OnLevel func(SubsetLevel)
@@ -134,9 +142,6 @@ func (c *SubsetConfig) normalize() error {
 	}
 	if c.Step < 0 {
 		return fmt.Errorf("rare: negative MCMC step %g", c.Step)
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	return nil
 }
@@ -178,9 +183,22 @@ type SubsetResult struct {
 	Converged bool `json:"converged"`
 }
 
+// mix64 is the splitmix64 finalizer — a cheap, high-quality 64-bit mixer
+// that derives every chain and sample key. Deterministic by construction:
+// every random-looking decision of the estimators is a pure function of
+// (seed, structural index).
+func mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
 // chainKey derives the deterministic RNG key of chain c at level ℓ. All
 // chain randomness flows from it, so the estimate does not depend on how
-// chains are scheduled across goroutines or shards.
+// chains are scheduled across goroutines.
 func chainKey(seed uint64, level, chain int) uint64 {
 	return mix64(seed ^ mix64(uint64(level)*0x2545f4914f6cdd1d+uint64(chain)+0x9e3779b97f4a7c15))
 }
@@ -213,8 +231,8 @@ type subsetState struct {
 //
 // Determinism: every sample is a pure function of (Seed, level, chain,
 // step), levels fold chains in chain order, and seeds are selected by a
-// total order (g descending, index ascending) — reruns and any
-// Workers/Shards setting are bit-identical.
+// total order (g descending, index ascending) — reruns and any Workers
+// setting are bit-identical.
 func RunSubset(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig) (*SubsetResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -290,8 +308,7 @@ func RunSubset(ctx context.Context, lsf LimitStateFactory, cfg SubsetConfig) (*S
 		}
 
 		// Conditional level: one modified-Metropolis chain per seed,
-		// chains distributed over Shards contiguous groups and folded in
-		// chain order.
+		// folded in chain order.
 		seeds := make([]subsetState, nSeeds)
 		for k := 0; k < nSeeds; k++ {
 			seeds[k] = cur[order[k]]
@@ -369,28 +386,24 @@ func chainGamma(cur []subsetState, t float64, level, chainLen int) float64 {
 }
 
 // runChains advances one modified-Metropolis chain per seed at the given
-// level, each chainLen samples long (the seed is sample 0). Chains are
-// split into cfg.Shards contiguous groups, each one pool run over whole
-// chains. Samples land in a slice indexed by (chain, step), so scheduling
-// cannot affect the estimate.
+// level, each chainLen samples long (the seed is sample 0), in one pool run
+// over whole chains. Samples land in a slice indexed by (chain, step), so
+// scheduling cannot affect the estimate.
 func runChains(ctx context.Context, lss []LimitState, cfg SubsetConfig, seeds []subsetState, level, chainLen int, t float64) (out []subsetState, accepted, proposed, evals int, err error) {
-	nc := len(seeds)
-	out = make([]subsetState, nc*chainLen)
-	eval := func(ls LimitState, c int, st *oneChainStats) (err error) {
-		*st, err = runOneChain(ctx, ls, cfg, seeds[c], level, c, chainLen, t, out[c*chainLen:(c+1)*chainLen])
-		return err
-	}
-	fold := func(_ int, st *oneChainStats) bool {
-		accepted += st.accepted
-		proposed += st.proposed
-		evals += st.evals
-		return true
-	}
-	for shard := 0; shard < cfg.Shards; shard++ {
-		lo, hi := shard*nc/cfg.Shards, (shard+1)*nc/cfg.Shards
-		if err := pool.Run(ctx, lss, lo, hi, eval, fold); err != nil {
-			return nil, 0, 0, 0, err
-		}
+	out = make([]subsetState, len(seeds)*chainLen)
+	err = pool.Run(ctx, lss, 0, len(seeds),
+		func(ls LimitState, c int, st *oneChainStats) (err error) {
+			*st, err = runOneChain(ctx, ls, cfg, seeds[c], level, c, chainLen, t, out[c*chainLen:(c+1)*chainLen])
+			return err
+		},
+		func(_ int, st *oneChainStats) bool {
+			accepted += st.accepted
+			proposed += st.proposed
+			evals += st.evals
+			return true
+		})
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
 	return out, accepted, proposed, evals, nil
 }
@@ -451,4 +464,16 @@ func limitStates(lsf LimitStateFactory, workers, n int) ([]LimitState, error) {
 		return nil, fmt.Errorf("rare: limit-state factory: %w", err)
 	}
 	return lss, nil
+}
+
+// NewRQMC forwards to uq.NewRQMC. The benchmark's reference run
+// (bench/etbench/reference.go) is its only caller; it leaves with the next
+// change to the benchmark.
+func NewRQMC(d, r int, seed uint64) (*uq.RQMC, error) { return uq.NewRQMC(d, r, seed) }
+
+// EstimateReplicates forwards to uq.EstimateReplicates. The benchmark's
+// reference run is its only caller; it leaves with the next change to the
+// benchmark.
+func EstimateReplicates(counters []stats.ExceedCounter) (*uq.ReplicateEstimate, error) {
+	return uq.EstimateReplicates(counters)
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"etherm/internal/panicsafe"
-	"etherm/internal/stats"
 	"etherm/internal/uq"
 )
 
@@ -89,8 +88,8 @@ func TestSubsetPlantedProbability(t *testing.T) {
 }
 
 // TestSubsetBitIdentity: the same configuration must produce byte-identical
-// results across reruns and across any Workers/Shards execution layout —
-// the property that makes fleet splits and checkpoint resumes trustworthy.
+// results across reruns and across worker counts: every chain's randomness
+// is keyed by (Seed, level, chain), not by execution order.
 func TestSubsetBitIdentity(t *testing.T) {
 	base := SubsetConfig{
 		Threshold: betaFor(1e-4),
@@ -101,18 +100,15 @@ func TestSubsetBitIdentity(t *testing.T) {
 	lsf := linearLimit([]float64{3, 1, 2, 0.5})
 	var ref []byte
 	for _, variant := range []struct {
-		name            string
-		workers, shards int
+		name    string
+		workers int
 	}{
-		{"serial", 1, 1},
-		{"rerun", 1, 1},
-		{"workers4", 4, 1},
-		{"shards4", 1, 4},
-		{"workers2shards4", 2, 4},
+		{"serial", 1},
+		{"rerun", 1},
+		{"workers4", 4},
 	} {
 		cfg := base
 		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
 		res, err := RunSubset(context.Background(), lsf, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", variant.name, err)
@@ -217,88 +213,6 @@ func TestImportanceSampling(t *testing.T) {
 	}
 	if math.Float64bits(again.PF) != math.Float64bits(res.PF) || math.Float64bits(again.SE) != math.Float64bits(res.SE) {
 		t.Fatalf("workers change the IS estimate: %v vs %v", again, res)
-	}
-}
-
-// TestRQMCSampler: replicate routing, stream purity and the shape of the
-// interleaved stream.
-func TestRQMCSampler(t *testing.T) {
-	q, err := NewRQMC(3, 8, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Name() != "rqmc-sobol" || q.Dim() != 3 || q.Replicates() != 8 {
-		t.Fatalf("unexpected identity: %s dim %d reps %d", q.Name(), q.Dim(), q.Replicates())
-	}
-	// Any prefix is replicate-balanced to within one point.
-	counts := make([]int, 8)
-	for i := 0; i < 1000; i++ {
-		counts[q.Replicate(i)]++
-	}
-	for r, c := range counts {
-		if c < 1000/8 || c > 1000/8+1 {
-			t.Fatalf("replicate %d holds %d of 1000 points", r, c)
-		}
-	}
-	// Global index i is point i/R of replicate i%R, against an
-	// independently built twin.
-	twin, _ := NewRQMC(3, 8, 77)
-	u, v := make([]float64, 3), make([]float64, 3)
-	for i := 0; i < 64; i++ {
-		q.Sample(i, u)
-		twin.reps[i%8].Sample(i/8, v)
-		for j := range u {
-			if u[j] != v[j] {
-				t.Fatalf("index %d routes wrong replicate", i)
-			}
-		}
-	}
-	if _, err := NewRQMC(3, 1, 1); err == nil {
-		t.Fatal("accepted single-replicate RQMC (no error bar possible)")
-	}
-}
-
-// TestRQMCEstimate: per-replicate counters pool into an estimate whose CLT
-// error bar covers a known probability, and degenerate inputs error.
-func TestRQMCEstimate(t *testing.T) {
-	const (
-		r    = 8
-		n    = 4096 // per replicate
-		p    = 0.05 // P(u0 < 0.05), known exactly
-		dim  = 2
-		seed = 31
-	)
-	q, err := NewRQMC(dim, r, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters := make([]stats.ExceedCounter, r)
-	u := make([]float64, dim)
-	for i := 0; i < r*n; i++ {
-		q.Sample(i, u)
-		counters[q.Replicate(i)].Observe(u[0] < p)
-	}
-	est, err := EstimateReplicates(counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.N != r*n {
-		t.Fatalf("pooled N %d, want %d", est.N, r*n)
-	}
-	if math.Abs(est.P-p) > 5*est.SE+1e-9 {
-		t.Fatalf("estimate %.5f ± %.5f misses exact %.5f", est.P, est.SE, p)
-	}
-	if est.SE <= 0 || est.SE > 0.01 {
-		t.Fatalf("unreasonable RQMC standard error %.5g", est.SE)
-	}
-	if est.CoV() <= 0 {
-		t.Fatalf("broken CoV %v", est.CoV())
-	}
-	if _, err := EstimateReplicates(counters[:1]); err == nil {
-		t.Fatal("accepted single counter")
-	}
-	if _, err := EstimateReplicates(make([]stats.ExceedCounter, 3)); err == nil {
-		t.Fatal("accepted empty replicates")
 	}
 }
 

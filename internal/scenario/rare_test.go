@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,33 +11,51 @@ import (
 	"etherm/internal/solver"
 )
 
-// calibrateTCrit runs a small Monte Carlo scenario and returns a critical
-// temperature planted mean + 2σ into the upper tail of the hottest-wire
-// end temperature, so the rare-event tests target a genuinely small (but
-// reachable) failure probability without hard-coding kelvin values that
-// would rot with solver changes.
-func calibrateTCrit(t *testing.T) float64 {
-	t.Helper()
-	b := &Batch{Scenarios: []Scenario{{
-		Name: "calibrate",
-		Chip: ChipSpec{HMaxM: testHMax},
-		Sim:  fastSim,
-		UQ:   UQSpec{Method: MethodMonteCarlo, Samples: 16, Seed: 5},
-	}}}
-	res, err := NewEngine().Run(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Scenarios[0]
-	if !s.OK {
-		t.Fatalf("calibration scenario failed: %s", s.Error)
-	}
-	if s.SigmaK <= 0 {
-		t.Fatalf("calibration sigma %g, want positive", s.SigmaK)
-	}
-	return s.TEndMaxK + 2*s.SigmaK
+// calibration holds the one calibrateTCrit run a package run shares.
+var calibration struct {
+	once  sync.Once
+	tCrit float64
+	err   error
 }
 
+// calibrateTCrit runs a small Monte Carlo scenario, once per package run,
+// and returns a critical temperature planted mean + 2σ into the upper tail
+// of the hottest-wire end temperature, so the rare-event tests target a
+// genuinely small (but reachable) failure probability without hard-coding
+// kelvin values that would rot with solver changes.
+func calibrateTCrit(t *testing.T) float64 {
+	t.Helper()
+	calibration.once.Do(func() {
+		b := &Batch{Scenarios: []Scenario{{
+			Name: "calibrate",
+			Chip: ChipSpec{HMaxM: testHMax},
+			Sim:  fastSim,
+			UQ:   UQSpec{Method: MethodMonteCarlo, Samples: 16, Seed: 5},
+		}}}
+		res, err := NewEngine().Run(context.Background(), b)
+		if err != nil {
+			calibration.err = err
+			return
+		}
+		s := res.Scenarios[0]
+		switch {
+		case !s.OK:
+			calibration.err = fmt.Errorf("calibration scenario failed: %s", s.Error)
+		case s.SigmaK <= 0:
+			calibration.err = fmt.Errorf("calibration sigma %g, want positive", s.SigmaK)
+		default:
+			calibration.tCrit = s.TEndMaxK + 2*s.SigmaK
+		}
+	})
+	if calibration.err != nil {
+		t.Fatal(calibration.err)
+	}
+	return calibration.tCrit
+}
+
+// rareScenario is the subset campaign the rare-event tests run, at 20
+// samples per level (2 chains of 10): the engine tests prove only the
+// wiring, and internal/rare proves the estimator on cheap models.
 func rareScenario(tCrit float64) Scenario {
 	return Scenario{
 		Name: "rare-subset",
@@ -44,7 +63,7 @@ func rareScenario(tCrit float64) Scenario {
 		Sim:  fastSim,
 		UQ: UQSpec{
 			Mode:         ModeFailureProbability,
-			LevelSamples: 40,
+			LevelSamples: 20,
 			Seed:         11,
 			CriticalK:    tCrit,
 		},
@@ -165,7 +184,7 @@ func TestEngineRareImportanceScenario(t *testing.T) {
 			Mode:         ModeFailureProbability,
 			Estimator:    EstimatorImportance,
 			ISShift:      -2,
-			LevelSamples: 64,
+			LevelSamples: 16,
 			Seed:         11,
 			Rho:          &one,
 			CriticalK:    tCrit,
@@ -190,8 +209,8 @@ func TestEngineRareImportanceScenario(t *testing.T) {
 	if *s.PFail <= 0 || *s.PFail > 1 {
 		t.Fatalf("importance p_fail %g outside (0, 1]", *s.PFail)
 	}
-	if s.Samples != 64 {
-		t.Errorf("samples %d, want the declared budget 64", s.Samples)
+	if s.Samples != 16 {
+		t.Errorf("samples %d, want the declared budget 16", s.Samples)
 	}
 	if len(s.RareLevels) != 0 {
 		t.Error("importance sampling has no levels, but telemetry was recorded")

@@ -389,9 +389,9 @@ func newSampler(u UQSpec, dim int) (uq.Sampler, error) {
 	case MethodSobol:
 		return uq.NewSobol(dim)
 	case MethodSobolOwen:
-		return rare.NewScrambledSobol(dim, u.Seed)
+		return uq.NewScrambledSobol(dim, u.Seed)
 	case MethodRQMC:
-		return rare.NewRQMC(dim, rare.DefaultReplicates, u.Seed)
+		return uq.NewRQMC(dim, uq.DefaultReplicates, u.Seed)
 	default:
 		return nil, fmt.Errorf("scenario: no sampler for method %q", method)
 	}

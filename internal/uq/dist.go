@@ -1,12 +1,14 @@
 // Package uq implements the uncertainty-quantification machinery of the
-// paper and its natural extensions: probability distributions, Monte Carlo
-// and quasi-Monte Carlo samplers (pseudo-random, Latin hypercube, Halton,
-// Sobol'), Gauss quadrature, tensor/Smolyak stochastic collocation,
-// non-intrusive polynomial chaos and Sobol' sensitivity indices, plus a
-// deterministic parallel sampling driver with two modes: the streaming
-// campaign (RunCampaign: constant-memory online accumulators, adaptive
-// stopping, resumable checkpoints) and the stored ensemble (RunEnsemble,
-// a campaign with StoreSamples for exact quantiles and surrogate fitting).
+// paper and its natural extensions: probability distributions, every Monte
+// Carlo and quasi-Monte Carlo sampler (pseudo-random, Latin hypercube,
+// Halton, Sobol' plain or Owen-scrambled, and randomized QMC with its
+// replicate estimator), Gauss quadrature, tensor/Smolyak stochastic
+// collocation, non-intrusive polynomial chaos and Sobol' sensitivity
+// indices, plus a deterministic parallel sampling driver with two modes:
+// the streaming campaign (RunCampaign: constant-memory online accumulators,
+// adaptive stopping, resumable checkpoints) and the stored ensemble
+// (RunEnsemble, a campaign with StoreSamples for exact quantiles and
+// surrogate fitting).
 //
 // The paper quantifies the wire-temperature variability with plain Monte
 // Carlo (section IV-C, M = 1000) and notes that "the application of other

@@ -1,4 +1,4 @@
-package rare
+package uq
 
 import (
 	"fmt"
@@ -16,9 +16,7 @@ import (
 // points of each replicate), so streaming stops, checkpoints and
 // block-aligned fleet shards all remain statistically sound.
 type RQMC struct {
-	d    int
-	seed uint64
-	reps []*ScrambledSobol
+	reps []*Sobol
 }
 
 // DefaultReplicates is the replicate count serving layers use when the
@@ -31,9 +29,9 @@ const DefaultReplicates = 8
 // replicate) so the whole family is reproducible from one integer.
 func NewRQMC(d, r int, seed uint64) (*RQMC, error) {
 	if r < 2 {
-		return nil, fmt.Errorf("rare: RQMC needs at least 2 replicates for an error bar, got %d", r)
+		return nil, fmt.Errorf("uq: RQMC needs at least 2 replicates for an error bar, got %d", r)
 	}
-	q := &RQMC{d: d, seed: seed, reps: make([]*ScrambledSobol, r)}
+	q := &RQMC{reps: make([]*Sobol, r)}
 	for rep := range q.reps {
 		s, err := NewScrambledSobol(d, mix64(seed^mix64(uint64(rep)+0xa0761d6478bd642f)))
 		if err != nil {
@@ -44,10 +42,10 @@ func NewRQMC(d, r int, seed uint64) (*RQMC, error) {
 	return q, nil
 }
 
-// Dim implements uq.Sampler.
-func (q *RQMC) Dim() int { return q.d }
+// Dim implements Sampler.
+func (q *RQMC) Dim() int { return q.reps[0].d }
 
-// Name implements uq.Sampler.
+// Name implements Sampler.
 func (q *RQMC) Name() string { return "rqmc-sobol" }
 
 // Replicates returns R.
@@ -56,7 +54,7 @@ func (q *RQMC) Replicates() int { return len(q.reps) }
 // Replicate returns which scramble replicate global index i belongs to.
 func (q *RQMC) Replicate(i int) int { return i % len(q.reps) }
 
-// Sample implements uq.Sampler.
+// Sample implements Sampler.
 func (q *RQMC) Sample(i int, dst []float64) {
 	r := len(q.reps)
 	q.reps[i%r].Sample(i/r, dst)
@@ -64,42 +62,37 @@ func (q *RQMC) Sample(i int, dst []float64) {
 
 // ReplicateEstimate aggregates per-replicate exceedance counters into a
 // probability estimate with a CLT standard error over replicate means.
-// counters[r] must hold the samples of replicate r only (use Replicate to
-// route observations); the counters stay ExceedCounter-compatible with the
-// rest of the stats pipeline, including exact integer shard merges.
 type ReplicateEstimate struct {
-	P        float64 // pooled probability estimate
-	SE       float64 // standard error of the mean over replicate estimates
-	N        int     // total samples across replicates
-	Counters []stats.ExceedCounter
+	P  float64 // pooled probability estimate
+	SE float64 // standard error of the mean over replicate estimates
+	N  int     // total samples across replicates
 }
 
 // EstimateReplicates computes the RQMC estimate from per-replicate
-// counters. It needs ≥ 2 non-empty replicates for a finite SE.
+// counters: counters[r] must hold the samples of replicate r only (use
+// RQMC.Replicate to route observations). It needs ≥ 2 non-empty
+// replicates for a finite SE.
 func EstimateReplicates(counters []stats.ExceedCounter) (*ReplicateEstimate, error) {
 	if len(counters) < 2 {
-		return nil, fmt.Errorf("rare: RQMC estimate needs ≥ 2 replicate counters, got %d", len(counters))
+		return nil, fmt.Errorf("uq: RQMC estimate needs ≥ 2 replicate counters, got %d", len(counters))
 	}
 	var total stats.ExceedCounter
 	mean, m2 := 0.0, 0.0
-	n := 0
-	for _, c := range counters {
+	for i, c := range counters {
 		if c.N == 0 {
-			return nil, fmt.Errorf("rare: empty RQMC replicate (unbalanced stream)")
+			return nil, fmt.Errorf("uq: empty RQMC replicate (unbalanced stream)")
 		}
 		total.Merge(c)
-		n++
 		p := c.Prob()
 		d := p - mean
-		mean += d / float64(n)
+		mean += d / float64(i+1)
 		m2 += d * (p - mean)
 	}
 	r := float64(len(counters))
 	return &ReplicateEstimate{
-		P:        total.Prob(),
-		SE:       math.Sqrt(m2 / (r - 1) / r),
-		N:        total.N,
-		Counters: counters,
+		P:  total.Prob(),
+		SE: math.Sqrt(m2 / (r - 1) / r),
+		N:  total.N,
 	}, nil
 }
 

@@ -199,45 +199,12 @@ var sobolPoly = []struct {
 	{7, 14, []uint64{1, 3, 1, 13, 9, 35, 107}},
 }
 
-// Sobol is the Sobol' low-discrepancy sequence (index 0 ↦ sequence element 1
-// so the degenerate all-zero point is skipped).
-type Sobol struct {
-	d int
-	v [][]uint64 // direction integers per dimension, sobolBits entries
-}
-
-// NewSobol returns a d-dimensional Sobol' sampler (d ≤ MaxSobolDim).
-func NewSobol(d int) (*Sobol, error) {
-	if d < 1 || d > MaxSobolDim() {
-		return nil, fmt.Errorf("uq: Sobol' supports 1..%d dimensions, got %d", MaxSobolDim(), d)
-	}
-	s := &Sobol{d: d, v: make([][]uint64, d)}
-	for j := 0; j < d; j++ {
-		s.v[j] = directionIntegers(j)
-	}
-	return s, nil
-}
-
 // MaxSobolDim returns the highest supported Sobol' dimensionality.
 func MaxSobolDim() int { return 1 + len(sobolPoly) }
 
-// SobolBits is the fixed-point resolution of the Sobol' sequence — the
-// number of output bits in every direction integer.
-const SobolBits = sobolBits
-
-// SobolDirections returns the direction integers for one Sobol' dimension
-// (0-based, dim < MaxSobolDim). The slice has SobolBits entries, each with
-// bit k of the radix-2 expansion in position SobolBits-1-k. Callers own the
-// returned slice; it is freshly computed. This is the seam packages such as
-// internal/rare build scrambled variants on without duplicating the Joe–Kuo
-// tables.
-func SobolDirections(dim int) ([]uint64, error) {
-	if dim < 0 || dim >= MaxSobolDim() {
-		return nil, fmt.Errorf("uq: Sobol' dimension %d outside 0..%d", dim, MaxSobolDim()-1)
-	}
-	return directionIntegers(dim), nil
-}
-
+// directionIntegers returns the sobolBits direction integers of one Sobol'
+// dimension (0-based), bit k of the radix-2 expansion in position
+// sobolBits-1-k.
 func directionIntegers(dim int) []uint64 {
 	v := make([]uint64, sobolBits)
 	if dim == 0 {
@@ -265,14 +232,89 @@ func directionIntegers(dim int) []uint64 {
 	return v
 }
 
+// mix64 is the splitmix64 finalizer — a cheap, high-quality 64-bit mixer
+// used to derive all scramble and replicate keys. Deterministic by
+// construction: every random-looking decision of the scrambled samplers is
+// a pure function of (seed, structural index).
+func mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
+// Sobol is the Sobol' low-discrepancy sequence (index 0 ↦ sequence element 1
+// so the degenerate all-zero point is skipped), optionally with Owen-style
+// nested uniform scrambling (hash-based, after Burley): output bit k of each
+// coordinate is flipped by a one-bit hash of the *unscrambled*
+// more-significant bit prefix, keyed per (seed, dimension). The scramble
+// preserves the (t,m,s)-net structure — and hence the QMC convergence rate —
+// while making every point uniformly distributed, which a plain digital
+// shift does not.
+type Sobol struct {
+	d    int
+	name string
+	seed uint64     // scramble seed; 0 leaves the sequence unscrambled
+	v    [][]uint64 // direction integers per dimension, sobolBits entries
+	keys []uint64   // per-dimension scramble keys
+}
+
+// NewSobol returns a d-dimensional plain Sobol' sampler (d ≤ MaxSobolDim),
+// named "sobol".
+func NewSobol(d int) (*Sobol, error) { return newSobol(d, 0, "sobol") }
+
+// NewScrambledSobol returns a d-dimensional Owen-scrambled Sobol' sampler,
+// named "sobol-owen". A zero seed disables scrambling: the stream is then
+// bit-identical to NewSobol's.
+func NewScrambledSobol(d int, seed uint64) (*Sobol, error) {
+	return newSobol(d, seed, "sobol-owen")
+}
+
+func newSobol(d int, seed uint64, name string) (*Sobol, error) {
+	if d < 1 || d > MaxSobolDim() {
+		return nil, fmt.Errorf("uq: Sobol' supports 1..%d dimensions, got %d", MaxSobolDim(), d)
+	}
+	s := &Sobol{d: d, name: name, seed: seed, v: make([][]uint64, d), keys: make([]uint64, d)}
+	for j := 0; j < d; j++ {
+		s.v[j] = directionIntegers(j)
+		// Key each dimension independently so scrambles are uncorrelated
+		// across coordinates; the constant decorrelates dim from seed.
+		s.keys[j] = mix64(seed ^ mix64(uint64(j)+0x9e3779b97f4a7c15))
+	}
+	return s, nil
+}
+
 // Dim implements Sampler.
 func (s *Sobol) Dim() int { return s.d }
 
 // Name implements Sampler.
-func (s *Sobol) Name() string { return "sobol" }
+func (s *Sobol) Name() string { return s.name }
+
+// owenScramble applies hash-based nested uniform scrambling to one
+// fixed-point coordinate x (sobolBits bits, MSB = first radix-2 digit).
+// Bit k's flip depends only on the unscrambled prefix of bits more
+// significant than k, so points sharing an elementary interval stay
+// together — the defining property of Owen scrambling.
+func owenScramble(x, key uint64) uint64 {
+	var flips uint64
+	for k := 0; k < sobolBits; k++ {
+		shift := uint(sobolBits - k)
+		var prefix uint64
+		if k > 0 {
+			prefix = x >> shift // the k more-significant unscrambled bits
+		}
+		bit := mix64(key^mix64(prefix+uint64(k)*0xd1342543de82ef95)) & 1
+		flips |= bit << (shift - 1)
+	}
+	return x ^ flips
+}
 
 // Sample implements Sampler using the Gray-code XOR construction, which is
-// index-addressable: x_i = ⊕_k v_k over the set bits of gray(i).
+// index-addressable: x_i = ⊕_k v_k over the set bits of gray(i), followed
+// by per-dimension Owen scrambling when a seed is set. Pure in i: identical
+// for any evaluation order, worker count or shard split.
 func (s *Sobol) Sample(i int, dst []float64) {
 	idx := uint64(i + 1)
 	gray := idx ^ (idx >> 1)
@@ -285,6 +327,9 @@ func (s *Sobol) Sample(i int, dst []float64) {
 				x ^= s.v[j][k]
 			}
 			g >>= 1
+		}
+		if s.seed != 0 {
+			x = owenScramble(x, s.keys[j])
 		}
 		dst[j] = float64(x) * scale
 	}

@@ -1,4 +1,4 @@
-package rare
+package uq
 
 import (
 	"encoding/json"
@@ -7,61 +7,15 @@ import (
 	"path/filepath"
 	"testing"
 
-	"etherm/internal/analytic"
-	"etherm/internal/material"
-	"etherm/internal/uq"
+	"etherm/internal/stats"
 )
-
-// The paper's elongation law (Table 2): δ ~ N(0.17, 0.048²).
-const (
-	lawMu    = 0.17
-	lawSigma = 0.048
-)
-
-func finWire(delta float64) analytic.FinWire {
-	return analytic.FinWire{
-		Length:   1e-3 * (1 + delta),
-		Diameter: 25e-6,
-		Mat:      material.Copper(),
-		Current:  0.5,
-		TEndA:    300, TEndB: 300,
-		TInf: 300,
-	}
-}
-
-func finTemp(delta float64) float64 {
-	tmax, _ := finWire(delta).MaxTemperature(300)
-	return tmax
-}
-
-// finTempU is the Fig. 7 quantity as a function of a unit-cube germ: the
-// end-time peak temperature of a wire whose elongation follows the law.
-func finTempU(u float64) float64 {
-	delta := lawMu + lawSigma*uq.Normal{Mu: 0, Sigma: 1}.Quantile(clamp01(u))
-	if delta < 0 {
-		delta = 0
-	} else if delta > 0.9 {
-		delta = 0.9
-	}
-	return finTemp(delta)
-}
-
-func clamp01(u float64) float64 {
-	if u < 1e-15 {
-		return 1e-15
-	}
-	if u > 1-1e-15 {
-		return 1 - 1e-15
-	}
-	return u
-}
 
 // TestPlainMatchesUQSobol: seed 0 disables the scramble, and the sampler
-// must then be bit-identical to the uq.Sobol baseline — the contract that
+// must then be bit-identical to the NewSobol baseline — the contract that
 // lets campaign fingerprints distinguish the two by stream, not by name.
 func TestPlainMatchesUQSobol(t *testing.T) {
-	for _, d := range []int{1, 2, 5, 8, uq.MaxSobolDim()} {
-		plain, err := uq.NewSobol(d)
+	for _, d := range []int{1, 2, 5, 8, MaxSobolDim()} {
+		plain, err := NewSobol(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,53 +190,6 @@ func TestOwenPreservesNet(t *testing.T) {
 	}
 }
 
-// TestSobolBeatsMCOnFig7Quantity compares estimator variance on the paper's
-// Fig. 7 quantity (expected peak wire temperature under the elongation law)
-// at equal sample count: across K independent replications, the scrambled
-// Sobol' estimator must have materially lower variance than Monte Carlo.
-func TestSobolBeatsMCOnFig7Quantity(t *testing.T) {
-	const (
-		k = 24  // replications per method
-		n = 256 // samples per estimate
-	)
-	varOf := func(estimates []float64) float64 {
-		mean := 0.0
-		for _, e := range estimates {
-			mean += e
-		}
-		mean /= float64(len(estimates))
-		v := 0.0
-		for _, e := range estimates {
-			v += (e - mean) * (e - mean)
-		}
-		return v / float64(len(estimates)-1)
-	}
-	estimate := func(s uq.Sampler) float64 {
-		u := make([]float64, 1)
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			s.Sample(i, u)
-			sum += finTempU(u[0])
-		}
-		return sum / n
-	}
-	mc := make([]float64, k)
-	qmc := make([]float64, k)
-	for r := 0; r < k; r++ {
-		mc[r] = estimate(uq.PseudoRandom{D: 1, Seed: uint64(1000 + r)})
-		s, err := NewScrambledSobol(1, uint64(2000+r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		qmc[r] = estimate(s)
-	}
-	vMC, vQMC := varOf(mc), varOf(qmc)
-	if vQMC*10 > vMC {
-		t.Fatalf("scrambled Sobol' variance %.3g not ≥10x below MC variance %.3g at n=%d", vQMC, vMC, n)
-	}
-	t.Logf("variance at n=%d: MC %.3g, scrambled Sobol' %.3g (×%.0f reduction)", n, vMC, vQMC, vMC/vQMC)
-}
-
 // FuzzScrambledSobol hammers the sampler with arbitrary dimension, index
 // and seed inputs: construction must either fail cleanly or produce pure,
 // in-range points.
@@ -295,7 +202,7 @@ func FuzzScrambledSobol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, d, i int, seed uint64) {
 		s, err := NewScrambledSobol(d, seed)
 		if err != nil {
-			if d >= 1 && d <= uq.MaxSobolDim() {
+			if d >= 1 && d <= MaxSobolDim() {
 				t.Fatalf("valid dimension %d rejected: %v", d, err)
 			}
 			return
@@ -316,4 +223,86 @@ func FuzzScrambledSobol(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRQMCSampler: replicate routing, stream purity and the shape of the
+// interleaved stream.
+func TestRQMCSampler(t *testing.T) {
+	q, err := NewRQMC(3, 8, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Name() != "rqmc-sobol" || q.Dim() != 3 || q.Replicates() != 8 {
+		t.Fatalf("unexpected identity: %s dim %d reps %d", q.Name(), q.Dim(), q.Replicates())
+	}
+	// Any prefix is replicate-balanced to within one point.
+	counts := make([]int, 8)
+	for i := 0; i < 1000; i++ {
+		counts[q.Replicate(i)]++
+	}
+	for r, c := range counts {
+		if c < 1000/8 || c > 1000/8+1 {
+			t.Fatalf("replicate %d holds %d of 1000 points", r, c)
+		}
+	}
+	// Global index i is point i/R of replicate i%R, against an
+	// independently built twin.
+	twin, _ := NewRQMC(3, 8, 77)
+	u, v := make([]float64, 3), make([]float64, 3)
+	for i := 0; i < 64; i++ {
+		q.Sample(i, u)
+		twin.reps[i%8].Sample(i/8, v)
+		for j := range u {
+			if u[j] != v[j] {
+				t.Fatalf("index %d routes wrong replicate", i)
+			}
+		}
+	}
+	if _, err := NewRQMC(3, 1, 1); err == nil {
+		t.Fatal("accepted single-replicate RQMC (no error bar possible)")
+	}
+}
+
+// TestRQMCEstimate: per-replicate counters pool into an estimate whose CLT
+// error bar covers a known probability, and degenerate inputs error.
+func TestRQMCEstimate(t *testing.T) {
+	const (
+		r    = 8
+		n    = 4096 // per replicate
+		p    = 0.05 // P(u0 < 0.05), known exactly
+		dim  = 2
+		seed = 31
+	)
+	q, err := NewRQMC(dim, r, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make([]stats.ExceedCounter, r)
+	u := make([]float64, dim)
+	for i := 0; i < r*n; i++ {
+		q.Sample(i, u)
+		counters[q.Replicate(i)].Observe(u[0] < p)
+	}
+	est, err := EstimateReplicates(counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.N != r*n {
+		t.Fatalf("pooled N %d, want %d", est.N, r*n)
+	}
+	if math.Abs(est.P-p) > 5*est.SE+1e-9 {
+		t.Fatalf("estimate %.5f ± %.5f misses exact %.5f", est.P, est.SE, p)
+	}
+	if est.SE <= 0 || est.SE > 0.01 {
+		t.Fatalf("unreasonable RQMC standard error %.5g", est.SE)
+	}
+	if est.CoV() <= 0 {
+		t.Fatalf("broken CoV %v", est.CoV())
+	}
+	if _, err := EstimateReplicates(counters[:1]); err == nil {
+		t.Fatal("accepted single counter")
+	}
+	if _, err := EstimateReplicates(make([]stats.ExceedCounter, 3)); err == nil {
+		t.Fatal("accepted empty replicates")
+	}
 }
