@@ -100,10 +100,11 @@ type SimSpec struct {
 	Integrator string  `json:"integrator,omitempty"` // implicit-euler|trapezoidal|bdf2
 	Joule      string  `json:"joule,omitempty"`      // edge-split|cell-average
 	LinTol     float64 `json:"lin_tol,omitempty"`
-	// Performance knobs (solver preconditioning). Precond ict|ic0 selects
-	// the thermal factorization (the electric operator always takes plain
-	// IC(0)); jacobi|none apply to both operators. PrecondOmega shapes only
-	// the thermal MIC0 factor. Precision (float64|mixed), Deflation,
+	// Performance knobs (solver preconditioning). Precond ic0, the
+	// default, factorizes the thermal operator with MIC0 and the electric
+	// one with plain IC(0); ict is an alias of ic0 (the ICT thermal factor
+	// is gone). jacobi|none apply to both operators. PrecondOmega shapes
+	// only the thermal MIC0 factor. Precision (float64|mixed), Deflation,
 	// DeflationBlock, PrecondRefresh and SolverWorkers are accepted and
 	// validated but ignored (v1 compatibility).
 	Precond        string  `json:"precond,omitempty"`   // ict|ic0|jacobi|none

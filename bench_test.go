@@ -315,7 +315,8 @@ func BenchmarkAblationTimeIntegrator(b *testing.B) {
 // BenchmarkAblationPreconditioner compares CG preconditioners on the
 // assembled thermal step matrix of the chip: each iteration builds the
 // factor and solves from a cold start. mic0 (NewMIC0 at ω = 1) is the
-// thermal factor of strict runs, ict that of FastOptions ensembles.
+// thermal factor of every run; ict is the threshold factor the simulator
+// ran for FastOptions ensembles until MIC0 won on wall time.
 func BenchmarkAblationPreconditioner(b *testing.B) {
 	lay, err := coarseSpec().Build()
 	if err != nil {
@@ -479,11 +480,13 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverReuse measures the steady-state solver core in isolation:
-// pattern-stable reassembly, Dirichlet elimination via the precomputed
-// applier, the cached production-tier (ICT) preconditioner and the
-// workspace-backed CG solve — the exact cycle every Newton/coupling/time-step
-// iteration runs. allocs/op is the headline: it must stay at zero.
+// BenchmarkSolverReuse measures a refresh-plus-solve cycle of the solver
+// core in isolation: an in-place refactorization of the ICT preconditioner
+// and a workspace-backed CG solve on the chip's thermal step matrix.
+// allocs/op is the headline: it must stay at zero. The simulator's thermal
+// factor is MIC0 now; this row keeps timing ICT so that its bench-gate
+// baseline still compares like with like, and moves to MIC0 with the next
+// change to the benchmark.
 func BenchmarkSolverReuse(b *testing.B) {
 	lay, err := coarseSpec().Build()
 	if err != nil {

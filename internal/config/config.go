@@ -15,12 +15,12 @@ type SimConfig = api.SimSpec
 // With forEnsemble the unset fields start from core.FastOptions (weak
 // staggered coupling, linearized radiation) instead of the strict defaults.
 //
-// Precond ict and ic0 name the thermal factorization; the electric
-// operator always takes plain IC(0) under both. jacobi and none apply to
-// both operators. Empty keeps the mode's default (ICT for ensembles via
-// FastOptions, MIC0 otherwise), and a failed factorization falls back to
-// Jacobi for the rest of the run. PrecondOmega relaxes the thermal MIC0
-// factor: 0 keeps full compensation, negative selects plain IC(0).
+// Precond ic0 (also the default) factorizes the thermal operator with MIC0
+// and the electric one with plain IC(0); ict is a v1 alias of ic0, kept
+// valid since the ICT thermal factor left the simulator. jacobi and none
+// apply to both operators. A failed factorization falls back to Jacobi for
+// the rest of the run. PrecondOmega relaxes the thermal MIC0 factor: 0
+// keeps full compensation, negative selects plain IC(0).
 // Precision, Deflation, DeflationBlock, PrecondRefresh and SolverWorkers
 // are v1 fields accepted as no-ops (DESIGN.md §5b): CoreOptions ignores
 // them, while api.SimSpec.Validate still applies their v1 rules.
@@ -61,9 +61,7 @@ func CoreOptions(s SimConfig, forEnsemble bool) core.Options {
 		o.LinTol = s.LinTol
 	}
 	switch s.Precond {
-	case "ict":
-		o.Precond = core.PrecondICT
-	case "ic0":
+	case "ict", "ic0":
 		o.Precond = core.PrecondIC0
 	case "jacobi":
 		o.Precond = core.PrecondJacobi

@@ -97,7 +97,7 @@ func TestPrecisionAndDeflationKnobs(t *testing.T) {
 	plain := SimConfig{EndTimeS: 10, NumSteps: 5, Precond: "ict"}
 	for _, forEnsemble := range []bool{false, true} {
 		o := CoreOptions(s, forEnsemble)
-		if o.Precond != core.PrecondICT {
+		if o.Precond != core.PrecondIC0 {
 			t.Error("ict precond selection lost")
 		}
 		if want := CoreOptions(plain, forEnsemble); o != want {

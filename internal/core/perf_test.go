@@ -176,8 +176,7 @@ func TestPrecondJacobiFallback(t *testing.T) {
 		mode     Precond
 		electric bool
 	}{
-		{"electric ic0", PrecondICT, true},
-		{"thermal ict", PrecondICT, false},
+		{"electric ic0", PrecondIC0, true},
 		{"thermal mic0", PrecondIC0, false},
 	} {
 		s, err := NewSimulator(wiredProblem(t), Options{Precond: tc.mode})

@@ -173,24 +173,20 @@ func (s JouleScheme) String() string {
 // Preconditioner selection for the inner CG solves.
 type Precond int
 
-// Preconditioner kinds. Under the two factorization modes, PrecondIC0 and
-// PrecondICT, the electric operator always takes plain IC(0) and the mode
-// selects the thermal factorization. Each factor is built at its operator's
-// first solve and serves the whole run; a failed build falls back to
-// Jacobi, with the reason recorded in RunStats.
+// Preconditioner kinds. Under the factorization mode, PrecondIC0, both
+// operators take a zero-fill incomplete Cholesky factor: plain IC(0) on the
+// electric operator and MIC0 on the thermal one. Each factor is built at its
+// operator's first solve and serves the whole run; a failed build falls back
+// to Jacobi, with the reason recorded in RunStats.
 const (
 	// PrecondIC0 factorizes the thermal operator with modified incomplete
-	// Cholesky with zero fill (MIC0, or plain IC0 for PrecondOmega < 0).
+	// Cholesky with zero fill (MIC0, or plain IC0 for PrecondOmega < 0). It
+	// is the default of every run, strict and FastOptions alike.
 	PrecondIC0 Precond = iota
 	// PrecondJacobi uses the inverse diagonal on both operators.
 	PrecondJacobi
 	// PrecondNone runs plain CG on both operators.
 	PrecondNone
-	// PrecondICT factorizes the thermal operator with dual-threshold
-	// incomplete Cholesky (drop tolerance + per-column fill cap). Roughly
-	// 3.6× the factor entries of IC0 buy a ~2.3× CG iteration cut on the
-	// thermal operator. FastOptions selects it.
-	PrecondICT
 )
 
 func (p Precond) String() string {
@@ -199,8 +195,6 @@ func (p Precond) String() string {
 		return "jacobi"
 	case PrecondNone:
 		return "none"
-	case PrecondICT:
-		return "ict"
 	default:
 		return "ic0"
 	}
@@ -224,12 +218,13 @@ type Options struct {
 	Joule          JouleScheme
 
 	// LinTol is the CG relative-residual target. The strict default is
-	// 1e-10 under the default (modified-IC) preconditioner: the extra
+	// 1e-10 under the default (MIC0 thermal) preconditioner: the extra
 	// digit costs fewer iterations than the pre-MIC 1e-9 did, and it keeps
 	// the energy-balance audit an order of magnitude inside its bound.
 	// Explicit PrecondJacobi/PrecondNone keep the 1e-9 default — the extra
-	// digit is only cheap with a strong preconditioner. (FastOptions
-	// relaxes this to 1e-8 for ensembles.)
+	// digit is only cheap with a strong preconditioner. FastOptions relaxes
+	// it to 1e-8 for ensembles, on the same MIC0 factor; the Fig. 7
+	// campaign's E_max moves by about 1e-4 K between 1e-8 and 1e-7.
 	LinTol     float64
 	LinMaxIter int // default 4000
 	Precond    Precond
@@ -252,7 +247,8 @@ type Options struct {
 // staggered coupling, tangent-linearized radiation and mildly relaxed
 // tolerances. On the chip example these settings reproduce the
 // strong-coupling solution within a few hundredths of a kelvin at roughly a
-// third of the cost (see the coupling ablation bench).
+// third of the cost (see the coupling ablation bench). The preconditioner
+// is the default one: MIC0 on the thermal operator, as in strict runs.
 func FastOptions() Options {
 	return Options{
 		Coupling:      WeakCoupling,
@@ -260,7 +256,6 @@ func FastOptions() Options {
 		NonlinTol:     2e-5,
 		MaxNonlinIter: 8,
 		LinTol:        1e-8,
-		Precond:       PrecondICT,
 	}
 }
 
@@ -284,7 +279,7 @@ func (o Options) withDefaults() Options {
 		o.NonlinTol = 1e-6
 	}
 	if o.LinTol <= 0 {
-		if o.Precond == PrecondIC0 || o.Precond == PrecondICT {
+		if o.Precond == PrecondIC0 {
 			o.LinTol = 1e-10
 		} else {
 			o.LinTol = 1e-9

@@ -33,11 +33,11 @@ type RunStats struct {
 	PrecondFallbackReason string `json:",omitempty"`
 
 	// CG iterations split by the preconditioner tier that served each solve
-	// (both operators combined). Under a factorization mode the electric
-	// iterations land in IC0 and the thermal ones in the requested tier;
-	// anything in Jacobi quantifies what a failed build cost. Fixed fields,
-	// not a map, so RunStats stays comparable with ==.
-	CGItersICT    int `json:",omitempty"`
+	// (both operators combined). Under the factorization mode the electric
+	// iterations land in IC0 and the thermal ones in MIC0 (IC0 when
+	// PrecondOmega opts out); anything in Jacobi quantifies what a failed
+	// build cost. Fixed fields, not a map, so RunStats stays comparable
+	// with ==.
 	CGItersMIC0   int `json:",omitempty"`
 	CGItersIC0    int `json:",omitempty"`
 	CGItersJacobi int `json:",omitempty"`

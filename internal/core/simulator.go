@@ -212,12 +212,12 @@ func (s *Simulator) ResetState() {
 func (s *Simulator) Temperatures() []float64 { return s.T }
 
 // preconditioner returns the preconditioner of the operator behind ps,
-// building it at the operator's first solve of the run. Under a
-// factorization mode the electric operator always takes plain IC(0): ICT and
-// MIC0 break down on the floating copper islands of every chip mesh coarser
-// than 0.25 mm. The thermal operator takes the factorization Precond names.
-// A failed build falls back to Jacobi for the rest of the run, with the
-// reason in RunStats.
+// building it at the operator's first solve of the run. Under the
+// factorization mode the electric operator always takes plain IC(0): MIC0
+// breaks down on the floating copper islands of every chip mesh coarser
+// than 0.25 mm. The thermal operator takes MIC0 with PrecondOmega (plain
+// IC(0) when it is 0). A failed build falls back to Jacobi for the rest of
+// the run, with the reason in RunStats.
 func (s *Simulator) preconditioner(ps *precState, a *sparse.CSR, electric bool) solver.Preconditioner {
 	if ps.mat == a {
 		if ps.jac != nil {
@@ -235,9 +235,6 @@ func (s *Simulator) preconditioner(ps *precState, a *sparse.CSR, electric bool) 
 		ps.jac = solver.NewJacobi(a)
 		ps.m, ps.tier = ps.jac, tierJacobi
 		return ps.m
-	case s.opt.Precond == PrecondICT && !electric:
-		ps.m, err = solver.NewICT(a, 0, 0)
-		ps.tier = tierICT
 	case electric || s.opt.PrecondOmega == 0:
 		ps.m, err = solver.NewIC0(a)
 		ps.tier = tierIC0
@@ -268,8 +265,6 @@ func (s *Simulator) solveCG(op string, ws *solver.Workspace, a *sparse.CSR, b, x
 	stats, err := solver.CGWith(ws, a, b, x, m, opt)
 	if s.runStats != nil {
 		switch ps.tier {
-		case tierICT:
-			s.runStats.CGItersICT += stats.Iterations
 		case tierMIC0:
 			s.runStats.CGItersMIC0 += stats.Iterations
 		case tierIC0:

@@ -7,7 +7,6 @@ import "sync/atomic"
 // option that was requested: electric solves under a factorization mode
 // report ic0, and a failed build reports jacobi.
 const (
-	tierICT    = "ict"
 	tierMIC0   = "mic0"
 	tierIC0    = "ic0"
 	tierJacobi = "jacobi"

@@ -6,10 +6,10 @@ import (
 )
 
 // TestPerTierIterationSplit: the per-tier CG counters attribute every
-// iteration to the preconditioner tier that served it. Under a
+// iteration to the preconditioner tier that served it. Under the
 // factorization mode the electric operator runs on plain IC(0) and the
-// thermal operator on the tier the Precond mode names; jacobi and none
-// serve both.
+// thermal operator on MIC0, or plain IC(0) when PrecondOmega opts out;
+// jacobi and none serve both.
 func TestPerTierIterationSplit(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -17,7 +17,6 @@ func TestPerTierIterationSplit(t *testing.T) {
 		elec, therm string
 	}{
 		{"ic0 default", Options{EndTime: 2, NumSteps: 3}, tierIC0, tierMIC0},
-		{"ict mode", Options{EndTime: 2, NumSteps: 3, Precond: PrecondICT}, tierIC0, tierICT},
 		{"plain omega", Options{EndTime: 2, NumSteps: 3, PrecondOmega: -1}, tierIC0, tierIC0},
 		{"jacobi", Options{EndTime: 2, NumSteps: 3, Precond: PrecondJacobi}, tierJacobi, tierJacobi},
 		{"none", Options{EndTime: 2, NumSteps: 3, Precond: PrecondNone}, tierNone, tierNone},
@@ -36,7 +35,7 @@ func TestPerTierIterationSplit(t *testing.T) {
 			t.Fatalf("%s: no CG iterations recorded (%+v)", tc.name, st)
 		}
 		got := map[string]int{
-			tierICT: st.CGItersICT, tierMIC0: st.CGItersMIC0, tierIC0: st.CGItersIC0,
+			tierMIC0: st.CGItersMIC0, tierIC0: st.CGItersIC0,
 			tierJacobi: st.CGItersJacobi, tierNone: st.CGItersNone,
 		}
 		want := map[string]int{}
@@ -51,8 +50,8 @@ func TestPerTierIterationSplit(t *testing.T) {
 }
 
 // TestSolveObserver: every linear solve of a run is reported with its
-// operator and serving tier (IC0 for the electric operator, the requested
-// ICT for the thermal one); removing the observer stops the stream.
+// operator and serving tier (IC0 for the electric operator, MIC0 for the
+// thermal one); removing the observer stops the stream.
 func TestSolveObserver(t *testing.T) {
 	var mu sync.Mutex
 	type key struct{ op, tier string }
@@ -70,7 +69,7 @@ func TestSolveObserver(t *testing.T) {
 	defer SetSolveObserver(nil)
 
 	p := wiredProblem(t)
-	s, err := NewSimulator(p, Options{EndTime: 1, NumSteps: 2, Precond: PrecondICT})
+	s, err := NewSimulator(p, Options{EndTime: 1, NumSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestSolveObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	elec, therm := seen[key{"electric", "ic0"}], seen[key{"thermal", "ict"}]
+	elec, therm := seen[key{"electric", "ic0"}], seen[key{"thermal", "mic0"}]
 	mu.Unlock()
 	if elec != res.Stats.ElecSolves || therm != res.Stats.ThermSolves {
 		t.Errorf("observer saw %d electric / %d thermal solves, stats say %d / %d",

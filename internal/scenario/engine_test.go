@@ -134,8 +134,9 @@ func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
 // TestV1SolverKnobsAreNoOps pins the v1 contract of the removed solver
 // features: a document carrying precision, deflation, deflation_block,
 // precond_refresh and solver_workers validates and runs to results
-// byte-identical to the same document without them, on both the strict
-// (MIC0) and the ensemble (ICT) thermal factorization.
+// byte-identical to the same document without them, on both a strict and
+// an ensemble scenario (both factorize the thermal operator with MIC0; the
+// ensemble one names it by its v1 alias ict).
 func TestV1SolverKnobsAreNoOps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled-field batch is seconds-scale")

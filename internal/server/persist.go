@@ -243,16 +243,17 @@ func (s *Server) initMetrics() {
 	// CG-iteration telemetry: the core simulator reports every inner linear
 	// solve through its process-wide observer; the histogram tracks the
 	// iteration distribution per operator and the counters attribute solves
-	// to the preconditioner tier that served them. Under a factorization
-	// mode electric solves count as ic0 and thermal ones as the requested
-	// ict or mic0; tier="jacobi" there means a factorization build failed.
+	// to the preconditioner tier that served them. Under the factorization
+	// mode electric solves count as ic0 and thermal ones as mic0 (ic0 when
+	// precond_omega opts out); tier="jacobi" there means a factorization
+	// build failed.
 	cgHist := make(map[string]*metrics.Histogram, 2)
-	cgSolves := make(map[string]*metrics.Counter, 10)
+	cgSolves := make(map[string]*metrics.Counter, 8)
 	cgBounds := []float64{5, 10, 15, 20, 25, 35, 50, 75, 100, 150, 250, 500, 1000}
 	for _, op := range []string{"electric", "thermal"} {
 		cgHist[op] = s.reg.NewHistogram("etherm_cg_iterations",
 			"CG iterations per linear solve.", metrics.Labels{"op": op}, cgBounds)
-		for _, tier := range []string{"ict", "mic0", "ic0", "jacobi", "none"} {
+		for _, tier := range []string{"mic0", "ic0", "jacobi", "none"} {
 			cgSolves[op+"/"+tier] = s.reg.NewCounter("etherm_cg_solves_total",
 				"Linear solves by preconditioner tier.", metrics.Labels{"op": op, "tier": tier})
 		}

@@ -10,7 +10,7 @@ import (
 
 // ErrCholesky reports that the threshold-Cholesky preconditioner cannot be
 // built for a matrix (a non-positive pivot, or a matrix too large for int32
-// indexing). Callers degrade to the level-0 factors.
+// indexing).
 var ErrCholesky = errors.New("solver: incomplete Cholesky unavailable")
 
 // ndLeafSize is the partition size below which nested dissection stops and
@@ -21,11 +21,17 @@ const ndLeafSize = 48
 // P A Pᵀ ≈ L Lᵀ (ICT) used as a CG preconditioner. P is a fill-reducing
 // nested-dissection permutation computed from the pattern once at
 // construction. Per factor column, only the lfil largest magnitudes above a
-// drop threshold are kept: at 2–4× fill this cuts the iteration count
-// several-fold over the level-0 factors while each iteration stays cheap,
-// which makes it the thermal factorization of ensemble runs. Refresh
-// refactorizes numerically in place (allocation-free) for new values on the
-// same pattern.
+// drop threshold are kept: at 2–4× fill this cuts the thermal CG
+// iterations of a chip run 1.6–2.5× below MIC0's, but each iteration costs
+// more and MIC0 wins on wall time (DESIGN.md §5b), so the simulator no
+// longer runs it. Refresh refactorizes numerically in place
+// (allocation-free) for new values on the same pattern.
+//
+// Its remaining callers time it for the benchmark: the per-layer kernel
+// probe of bench/etbench (solver.precond_build, _refresh and _apply) and
+// the root BenchmarkSolverReuse and BenchmarkAblationPreconditioner. It
+// leaves the tree with the next change to the benchmark, which moves those
+// probes onto the factor the simulator runs.
 //
 // The factor is stored column-major with the diagonal entry first in each
 // column, so the forward solve is a scatter loop and the backward solve a
@@ -358,7 +364,7 @@ func (c *CholPrec) Refresh(a *sparse.CSR) error {
 // The forward solve scatters independent updates per column and the backward
 // solve gathers with four accumulators: factor columns average an order of
 // magnitude more entries than the rows of the level-0 factors, which is what
-// lets these loops hide the gather latency that dominates IC0Prec.Apply.
+// lets these loops hide the gather latency.
 func (c *CholPrec) Apply(dst, r []float64) {
 	n := c.n
 	x := c.pr

@@ -1,7 +1,8 @@
 // Package solver provides the preconditioned conjugate gradient solver used
 // by the electrothermal simulator on its symmetric positive definite FIT
-// operators, with Jacobi and incomplete-Cholesky (IC0, MIC0, ICT)
-// preconditioners.
+// operators, with Jacobi and zero-fill incomplete-Cholesky (IC0, MIC0)
+// preconditioners. The threshold factor ICT stays only for the benchmark's
+// probes (see CholPrec).
 package solver
 
 import (
