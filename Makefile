@@ -34,12 +34,13 @@ BENCH_TOLERANCE ?= 0.25
 BENCH_TIME_TOLERANCE ?= 0
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench-test cli-smoke bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
+.PHONY: all build verify test vet fmt-check race staticcheck openapi-check bench-test cli-smoke examples-smoke bench bench-json bench-smoke bench-gate profile fuzz-smoke load-smoke chaos-smoke govulncheck demo clean
 
 all: build
 
 # verify is the fast tier-1 gate mirrored by CI's verify job, which also
-# runs cli-smoke (the only step of that job verify leaves out); race,
+# runs cli-smoke and examples-smoke (the steps of that job verify leaves
+# out); race,
 # staticcheck and bench-gate are the heavier CI jobs, runnable locally too.
 verify: build vet fmt-check openapi-check test bench-test
 
@@ -93,6 +94,14 @@ cli-smoke:
 	$(GO) run ./cmd/figures -samples 4 -out out/cli-smoke/figures
 	$(GO) run ./cmd/etbatch -bundled -out out/cli-smoke/etbatch.json
 	$(GO) run ./cmd/etbatch -f examples/scenarios/campaign_paths.json -out out/cli-smoke/campaign_paths.json
+
+# examples-smoke runs every example program end to end, so an API change
+# that breaks one fails here rather than compiling silently (~11 s on 2
+# cores: degradation and package_uq run coupled-field campaigns, the
+# other three take under a second). CI's verify job runs it.
+examples-smoke:
+	for ex in collocation degradation package_uq quickstart wire_design; do \
+		$(GO) run ./examples/$$ex; done
 
 # bench regenerates the paper's tables and figures (expensive).
 bench:

@@ -163,7 +163,7 @@ type UQSpec struct {
 	// CriticalK overrides the failure threshold (default 523 K).
 	CriticalK float64 `json:"critical_k,omitempty"`
 	// Stream selects the constant-memory streaming campaign (implied by
-	// the knobs below); results are bit-identical to the stored path.
+	// the knobs below); results are bit-identical to a non-streaming run.
 	Stream bool `json:"stream,omitempty"`
 	// MaxSamples is the streaming sample budget (0 = Samples).
 	MaxSamples int `json:"max_samples,omitempty"`

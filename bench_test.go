@@ -408,15 +408,18 @@ func BenchmarkAblationSamplers(b *testing.B) {
 	for j := range dists {
 		dists[j] = uq.Normal{Mu: 0.17, Sigma: 0.048}
 	}
+	mean := func(s uq.Sampler, m int) float64 {
+		c, err := uq.RunCampaign(context.Background(), uq.SingleFactory(model), dists, s, uq.CampaignOptions{MaxSamples: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c.MeanAll()[0]
+	}
 	sobRef, err := uq.NewSobol(12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := uq.RunEnsemble(uq.SingleFactory(model), dists, sobRef, uq.EnsembleOptions{Samples: 1 << 14})
-	if err != nil {
-		b.Fatal(err)
-	}
-	refMean := ref.Mean(0)
+	refMean := mean(sobRef, 1<<14)
 
 	const m = 256
 	samplers := map[string]func() uq.Sampler{
@@ -448,11 +451,7 @@ func BenchmarkAblationSamplers(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var errMean float64
 			for i := 0; i < b.N; i++ {
-				ens, err := uq.RunEnsemble(uq.SingleFactory(model), dists, mk(), uq.EnsembleOptions{Samples: m})
-				if err != nil {
-					b.Fatal(err)
-				}
-				errMean = math.Abs(ens.Mean(0) - refMean)
+				errMean = math.Abs(mean(mk(), m) - refMean)
 			}
 			b.ReportMetric(errMean, "mean_err_K")
 		})

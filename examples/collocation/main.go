@@ -68,17 +68,22 @@ func main() {
 		dists[j] = uq.Normal{Mu: 0.17, Sigma: 0.048}
 	}
 
+	// run is an m-sample campaign; its moments are the estimates.
+	run := func(s uq.Sampler, m int) (mean, std float64, n int) {
+		c, err := uq.RunCampaign(context.Background(), factory, dists, s, uq.CampaignOptions{MaxSamples: m})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c.MeanAll()[0], c.StdAll()[0], c.Succeeded()
+	}
+
 	// Dense reference: big Sobol' QMC run.
 	sob, err := uq.NewSobol(dim)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, err := uq.RunEnsemble(factory, dists, sob, uq.EnsembleOptions{Samples: 1 << 15})
-	if err != nil {
-		log.Fatal(err)
-	}
-	refMean, refStd := ref.Mean(0), ref.StdDev(0)
-	fmt.Printf("reference (Sobol' M=%d): E[T] = %.4f K, sigma = %.4f K\n\n", ref.Succeeded(), refMean, refStd)
+	refMean, refStd, refN := run(sob, 1<<15)
+	fmt.Printf("reference (Sobol' M=%d): E[T] = %.4f K, sigma = %.4f K\n\n", refN, refMean, refStd)
 
 	fmt.Printf("%-24s %8s %12s %12s\n", "method", "evals", "|dE| (K)", "|dsigma| (K)")
 	report := func(name string, evals int, mean, std float64) {
@@ -86,29 +91,20 @@ func main() {
 	}
 
 	for _, m := range []int{64, 256, 1024} {
-		mc, err := uq.RunEnsemble(factory, dists, uq.PseudoRandom{D: dim, Seed: 7}, uq.EnsembleOptions{Samples: m})
-		if err != nil {
-			log.Fatal(err)
-		}
-		report(fmt.Sprintf("monte-carlo M=%d", m), m, mc.Mean(0), mc.StdDev(0))
+		mean, std, _ := run(uq.PseudoRandom{D: dim, Seed: 7}, m)
+		report(fmt.Sprintf("monte-carlo M=%d", m), m, mean, std)
 	}
 	for _, m := range []int{64, 256} {
 		lhs, err := uq.NewLatinHypercube(dim, m, 7)
 		if err != nil {
 			log.Fatal(err)
 		}
-		e, err := uq.RunEnsemble(factory, dists, lhs, uq.EnsembleOptions{Samples: m})
-		if err != nil {
-			log.Fatal(err)
-		}
-		report(fmt.Sprintf("latin-hypercube M=%d", m), m, e.Mean(0), e.StdDev(0))
+		mean, std, _ := run(lhs, m)
+		report(fmt.Sprintf("latin-hypercube M=%d", m), m, mean, std)
 	}
 	for _, m := range []int{64, 256} {
-		e, err := uq.RunEnsemble(factory, dists, sob, uq.EnsembleOptions{Samples: m})
-		if err != nil {
-			log.Fatal(err)
-		}
-		report(fmt.Sprintf("sobol-qmc M=%d", m), m, e.Mean(0), e.StdDev(0))
+		mean, std, _ := run(sob, m)
+		report(fmt.Sprintf("sobol-qmc M=%d", m), m, mean, std)
 	}
 	for _, lvl := range []int{1, 2} {
 		des, err := uq.SmolyakDesign(dists, lvl)
@@ -126,13 +122,18 @@ func main() {
 		report(fmt.Sprintf("smolyak level %d", lvl), sc.Evaluations, sc.Mean[0], sc.StdDev(0))
 	}
 
-	// Polynomial chaos: fit on a Sobol' design, read statistics and Sobol'
-	// sensitivity indices from the coefficients.
-	train, err := uq.RunEnsemble(factory, dists, sob, uq.EnsembleOptions{Samples: 512})
-	if err != nil {
-		log.Fatal(err)
+	// Polynomial chaos: fit on the first 512 Sobol' points, read statistics
+	// and Sobol' sensitivity indices from the coefficients.
+	params, outputs := make([][]float64, 512), make([][]float64, 512)
+	for i := range params {
+		params[i], outputs[i] = make([]float64, dim), make([]float64, 1)
+		sob.Sample(i, params[i])
+		uq.TransformPoint(dists, params[i], params[i])
+		if err := model.Eval(params[i], outputs[i]); err != nil {
+			log.Fatal(err)
+		}
 	}
-	pce, err := uq.FitPCE(dists, train.Params, train.Outputs, 2)
+	pce, err := uq.FitPCE(dists, params, outputs, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// degradation: turn the UQ ensemble into reliability numbers — failure
-// probability against the 523 K threshold, crossing times of the 6σ band and
-// Arrhenius damage over the mission profile, for the DATE16 chip.
+// degradation: turn a Monte Carlo campaign into reliability numbers —
+// failure probability against the 523 K threshold, crossing times of the 6σ
+// band and Arrhenius damage over the mission profile, for the DATE16 chip.
 //
 // Run with: go run ./examples/degradation
 package main
@@ -14,44 +14,32 @@ import (
 	"etherm/internal/core"
 	"etherm/internal/degrade"
 	"etherm/internal/study"
-	"etherm/internal/uq"
 )
 
 func main() {
 	const samples = 12
-	lay, err := chipmodel.DATE16Calibrated().Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := core.NewSimulator(lay.Problem, core.FastOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Store every sample (not just moments): the empirical exceedances
-	// below need the hottest wire's per-sample end temperatures.
-	nWires := len(lay.Wires)
-	p := study.Params{Rho: study.DefaultRho}
-	ens, err := uq.RunEnsemble(study.ParamFactory(sim, p), study.GermDists(nWires, p.Rho),
-		uq.PseudoRandom{D: study.GermDim(nWires, p.Rho), Seed: 99}, uq.EnsembleOptions{Samples: samples})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fig7, err := study.BuildFig7FromMoments(study.Times(sim.Options()), ens.MeanAll(), ens.StdAll(),
-		nWires, degrade.DefaultCriticalTemp, ens.Succeeded())
+	// The campaign counts, per output, the samples at or above T_crit.
+	fig7, lay, camp, err := study.RunPaperStudy(chipmodel.DATE16Calibrated(), core.FastOptions(),
+		samples, 99, 0, study.DefaultRho)
 	if err != nil {
 		log.Fatal(err)
 	}
 	last := len(fig7.Times) - 1
 
 	fmt.Printf("ensemble: M = %d, E_max(50 s) = %.2f K, sigma = %.2f K\n\n",
-		ens.Succeeded(), fig7.EMax[last], fig7.SigmaMC)
+		camp.Succeeded(), fig7.EMax[last], fig7.SigmaMC)
 
-	// 1. Exceedance probability of the hottest wire at the end time.
+	// 1. Exceedance probability of the hottest wire at the end time: the
+	//    normal approximation at three thresholds, the empirical fraction
+	//    of samples at T_crit.
 	for _, tcrit := range []float64{510.0, degrade.DefaultCriticalTemp, 535} {
 		pNorm := degrade.ExceedanceProbability(fig7.HotSeries()[last], fig7.SigmaMC, tcrit)
-		// Empirical from the stored samples of the hottest wire's final temp.
-		col := last*nWires + fig7.HotWire
-		pEmp := degrade.EmpiricalExceedance(ens.OutputSeries(col), tcrit)
+		if tcrit != degrade.DefaultCriticalTemp {
+			fmt.Printf("P(T_hot(50 s) >= %3.0f K): normal approx %.3g\n", tcrit, pNorm)
+			continue
+		}
+		col := last*len(lay.Wires) + fig7.HotWire
+		pEmp := float64(camp.Stats.ExceedOut[col]) / float64(camp.Succeeded())
 		fmt.Printf("P(T_hot(50 s) >= %3.0f K): normal approx %.3g, empirical %.3g\n", tcrit, pNorm, pEmp)
 	}
 

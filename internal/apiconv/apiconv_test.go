@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"etherm/api"
-	"etherm/internal/config"
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
 )
@@ -35,7 +34,7 @@ func fullScenario() scenario.Scenario {
 			Emissivity:     &emis,
 			AmbientK:       300,
 		},
-		Sim: config.SimConfig{
+		Sim: api.SimSpec{
 			EndTimeS: 10, NumSteps: 4, Coupling: "weak", Nonlinear: "newton",
 			Integrator: "bdf2", Joule: "edge-split", LinTol: 1e-10,
 			Precond: "ic0", PrecondOmega: 0.9, PrecondRefresh: 1.5, SolverWorkers: 2,
@@ -67,7 +66,6 @@ func sameType(t *testing.T, engine, wire any) {
 func TestScenarioShapeConformance(t *testing.T) {
 	sameType(t, scenario.Scenario{}, api.Scenario{})
 	sameType(t, scenario.ChipSpec{}, api.ChipSpec{})
-	sameType(t, config.SimConfig{}, api.SimSpec{})
 	sameType(t, scenario.UQSpec{}, api.UQSpec{})
 }
 
@@ -142,12 +140,19 @@ func TestDecodeRequest(t *testing.T) {
 	}
 }
 
+// unitLaw is the identity law on (0, 1): the model sees the sampler's
+// points unchanged.
+type unitLaw struct{}
+
+func (unitLaw) Quantile(u float64) float64 { return u }
+func (unitLaw) CDF(x float64) float64      { return min(max(x, 0), 1) }
+
 // TestShardResultBitIdentity runs a real (synthetic) shard, round-trips
 // its result through the wire form twice — exactly what worker → client →
 // coordinator does — and requires the merged campaign state to be
 // bit-identical to merging the original results.
 func TestShardResultBitIdentity(t *testing.T) {
-	dists := []uq.Dist{uq.Uniform{Lo: 0, Hi: 1}, uq.Uniform{Lo: 0, Hi: 1}}
+	dists := []uq.Dist{unitLaw{}, unitLaw{}}
 	factory := uq.SingleFactory(affineModel{})
 	plan, err := uq.PlanShards(48, 2, 8)
 	if err != nil {

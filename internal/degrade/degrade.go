@@ -53,21 +53,6 @@ func ExceedanceProbability(mean, std, threshold float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
 
-// EmpiricalExceedance returns the fraction of samples exceeding the
-// threshold.
-func EmpiricalExceedance(samples []float64, threshold float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, s := range samples {
-		if s >= threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(samples))
-}
-
 // Arrhenius is a thermally activated degradation-rate model
 // rate(T) = A·exp(−Ea/(kB·T)) with Ea in eV.
 type Arrhenius struct {

@@ -37,13 +37,6 @@ func TestExceedanceProbability(t *testing.T) {
 	}
 }
 
-func TestEmpiricalExceedance(t *testing.T) {
-	s := []float64{510, 520, 523, 530, 540}
-	if p := EmpiricalExceedance(s, 523); p != 0.6 {
-		t.Errorf("empirical P = %g, want 0.6", p)
-	}
-}
-
 func TestArrheniusMonotone(t *testing.T) {
 	a := MoldEpoxy()
 	f := func(dT uint8) bool {

@@ -159,12 +159,21 @@ func (c *Coordinator) Submit(s scenario.Scenario) (*api.FleetJob, error) {
 		start, end := plan.Shard(k)
 		j.shards = append(j.shards, &shardState{shard: k, start: start, end: end, status: api.ShardPending})
 	}
+	// Persist before acknowledging: a job the store did not take would be
+	// lost on restart, so the submission is refused and leaves no trace.
+	if err := c.persistLocked(j); err != nil {
+		c.seq--
+		return nil, fmt.Errorf("%w (%v)", errNotPersisted, err)
+	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.evictLocked()
-	c.persistLocked(j)
 	return c.viewLocked(j), nil
 }
+
+// errNotPersisted marks a submission refused because the job store failed
+// the write: nothing was created, so the request is safe to retry.
+var errNotPersisted = errors.New("fleet: job store is failing writes; submission shed, retry shortly")
 
 // evictLocked drops the oldest terminal jobs beyond MaxHistory, so a
 // long-running coordinator does not accumulate merged campaigns and result

@@ -13,7 +13,6 @@ import (
 
 	"etherm/api"
 	"etherm/client"
-	"etherm/internal/config"
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
 )
@@ -25,7 +24,7 @@ func chipScenario(shards int) scenario.Scenario {
 	return scenario.Scenario{
 		Name: "mc-fleet",
 		Chip: scenario.ChipSpec{HMaxM: 0.8e-3},
-		Sim:  config.SimConfig{EndTimeS: 10, NumSteps: 4, Coupling: "weak", Nonlinear: "newton"},
+		Sim:  api.SimSpec{EndTimeS: 10, NumSteps: 4, Coupling: "weak", Nonlinear: "newton"},
 		UQ: scenario.UQSpec{
 			Method: scenario.MethodMonteCarlo, Samples: 6, Seed: 7,
 			Shards: shards, ShardBlock: 2,

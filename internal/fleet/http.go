@@ -70,7 +70,8 @@ func (c *Coordinator) Register(mux *http.ServeMux, prefix string) {
 }
 
 // handleSubmit decodes the scenario strictly: an unknown field is a 422,
-// as on POST /v1/jobs.
+// and a job the store failed to persist is a 503 degraded, as on
+// POST /v1/jobs.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -82,7 +83,13 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, err := c.Submit(s)
-	if err != nil {
+	switch {
+	case errors.Is(err, errNotPersisted):
+		e := api.NewError(http.StatusServiceUnavailable, api.CodeDegraded, err.Error())
+		e.RetryAfterS = 2
+		api.WriteError(w, r, e)
+		return
+	case err != nil:
 		api.WriteError(w, r, api.NewError(http.StatusUnprocessableEntity, api.CodeValidation, err.Error()))
 		return
 	}

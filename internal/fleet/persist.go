@@ -17,9 +17,10 @@ import (
 // fleetRecord per job — scenario, plan, shard lease states, status,
 // result — and KindShard holds the posted shard result payloads, written
 // before the job record that marks the shard done and deleted once the
-// merge (or a cancel/eviction) makes them unreachable. A store write
-// failure is logged, never fatal: the coordinator stays available on its
-// in-memory state and the next transition retries the write.
+// merge (or a cancel/eviction) makes them unreachable. A failed write
+// refuses a submission (persist before acknowledging); on any later
+// transition it is logged, never fatal: the coordinator stays available on
+// its in-memory state and the next transition retries the write.
 
 // fleetRecord is the persisted form of one fleet job (without the shard
 // result payloads, which live in their own KindShard records so one huge
@@ -72,10 +73,12 @@ func (c *Coordinator) countersLocked() jobstore.Counters {
 	return jobstore.Counters{Fleet: c.seq, Lease: c.lseq}
 }
 
-// persistLocked writes a job's fleetRecord. Caller holds c.mu.
-func (c *Coordinator) persistLocked(j *job) {
+// persistLocked writes a job's fleetRecord and returns the write error,
+// which Submit refuses the job on; later transitions only log it. Caller
+// holds c.mu.
+func (c *Coordinator) persistLocked(j *job) error {
 	if c.store == nil {
-		return
+		return nil
 	}
 	rec := fleetRecord{
 		ID: j.id, Status: j.status, Err: j.err,
@@ -89,13 +92,13 @@ func (c *Coordinator) persistLocked(j *job) {
 		})
 	}
 	data, err := json.Marshal(&rec)
+	if err == nil {
+		err = c.store.Put(jobstore.KindFleet, j.id, data, c.countersLocked())
+	}
 	if err != nil {
 		c.storeLogf("fleet: persist %s: %v", j.id, err)
-		return
 	}
-	if err := c.store.Put(jobstore.KindFleet, j.id, data, c.countersLocked()); err != nil {
-		c.storeLogf("fleet: persist %s: %v", j.id, err)
-	}
+	return err
 }
 
 // persistShardLocked writes one posted shard result payload. It runs

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"etherm/internal/config"
+	"etherm/api"
 	"etherm/internal/core"
 	"etherm/internal/study"
 	"etherm/internal/uq"
@@ -24,7 +24,7 @@ func fastTestOptions() core.Options {
 
 // fastSim is the transient configuration used by engine tests: short horizon,
 // weak coupling.
-var fastSim = config.SimConfig{EndTimeS: 10, NumSteps: 4, Coupling: "weak", Nonlinear: "newton"}
+var fastSim = api.SimSpec{EndTimeS: 10, NumSteps: 4, Coupling: "weak", Nonlinear: "newton"}
 
 func testBatch() *Batch {
 	return &Batch{

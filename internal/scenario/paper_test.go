@@ -1,22 +1,20 @@
-package config_test
+package scenario
 
 import (
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"etherm/internal/scenario"
 )
 
 // paperFile is the committed run configuration of the paper's study: the
 // Table II nominal transient and the Fig. 7 Monte Carlo study, as a
-// scenario file whose "sim" blocks are SimConfig values.
+// scenario file whose "sim" blocks are api.SimSpec values.
 const paperFile = "../../examples/scenarios/date16_paper.json"
 
-func loadPaper(t *testing.T) *scenario.Batch {
+func loadPaper(t *testing.T) *Batch {
 	t.Helper()
-	b, err := scenario.LoadBatch(paperFile)
+	b, err := LoadBatch(paperFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +53,7 @@ func TestLoadRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := scenario.LoadBatch(path)
+	back, err := LoadBatch(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,36 +72,36 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scenario.LoadBatch(path); err == nil {
+		if _, err := LoadBatch(path); err == nil {
 			t.Errorf("unknown field in the %s block accepted", name)
 		}
 	}
 }
 
 func TestShardingKnobs(t *testing.T) {
-	u := scenario.UQSpec{Method: scenario.MethodMonteCarlo, Samples: 100, Shards: 4}
+	u := UQSpec{Method: MethodMonteCarlo, Samples: 100, Shards: 4}
 	if !u.Sharded() || !u.Streaming() {
 		t.Error("shards must imply the streaming sharded path")
 	}
-	if (scenario.UQSpec{Method: scenario.MethodMonteCarlo, Samples: 100}).Sharded() {
+	if (UQSpec{Method: MethodMonteCarlo, Samples: 100}).Sharded() {
 		t.Error("unsharded config reported sharded")
 	}
 	// with applies edit to a copy of the paper's Monte Carlo study.
-	with := func(edit func(*scenario.UQSpec)) *scenario.Batch {
+	with := func(edit func(*UQSpec)) *Batch {
 		b := loadPaper(t)
 		edit(&b.Scenarios[1].UQ)
 		return b
 	}
-	if err := with(func(u *scenario.UQSpec) { u.Shards, u.ShardBlock = 4, 128 }).Validate(); err != nil {
+	if err := with(func(u *UQSpec) { u.Shards, u.ShardBlock = 4, 128 }).Validate(); err != nil {
 		t.Errorf("sharded config rejected: %v", err)
 	}
-	if err := with(func(u *scenario.UQSpec) { u.Shards = -1 }).Validate(); err == nil {
+	if err := with(func(u *UQSpec) { u.Shards = -1 }).Validate(); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if err := with(func(u *scenario.UQSpec) { u.Shards, u.TargetSE = 2, 0.1 }).Validate(); err == nil {
+	if err := with(func(u *UQSpec) { u.Shards, u.TargetSE = 2, 0.1 }).Validate(); err == nil {
 		t.Error("sharded config with adaptive target accepted")
 	}
-	if err := with(func(u *scenario.UQSpec) { u.Method, u.Level, u.Shards = scenario.MethodSmolyak, 1, 2 }).Validate(); err == nil {
+	if err := with(func(u *UQSpec) { u.Method, u.Level, u.Shards = MethodSmolyak, 1, 2 }).Validate(); err == nil {
 		t.Error("sharded smolyak accepted")
 	}
 }

@@ -1,6 +1,6 @@
 package scenario
 
-import "etherm/internal/config"
+import "etherm/api"
 
 // demoHMax is the mesh resolution of the bundled presets: coarse enough
 // that the whole suite runs in well under a minute on a laptop, while every
@@ -25,8 +25,8 @@ func ptr(v float64) *float64 { return &v }
 // environment. cmd/etbatch runs it via -bundled and writes it to disk via
 // -write-presets; cmd/etserver serves it at /v1/scenarios/presets.
 func Presets() *Batch {
-	det := config.SimConfig{EndTimeS: 50, NumSteps: 25}
-	uqSim := config.SimConfig{EndTimeS: 50, NumSteps: 10}
+	det := api.SimSpec{EndTimeS: 50, NumSteps: 25}
+	uqSim := api.SimSpec{EndTimeS: 50, NumSteps: 10}
 	return &Batch{
 		Name: "date16-demo-suite",
 		Scenarios: []Scenario{
@@ -73,7 +73,7 @@ func Presets() *Batch {
 				Name:        "degradation-to-failure",
 				Description: "Worst-case bonding (δ = µ + 2σ ≈ 0.27) under a 20 % drive overload on a 120 s horizon: reports the T_crit = 523 K crossing time and the Arrhenius mold-damage integral.",
 				Chip:        ChipSpec{Preset: "date16-calibrated", HMaxM: demoHMax, MeanElongation: 0.266, DriveScale: 1.2},
-				Sim:         config.SimConfig{EndTimeS: 120, NumSteps: 40},
+				Sim:         api.SimSpec{EndTimeS: 120, NumSteps: 40},
 			},
 			{
 				Name:        "material-gold",

@@ -8,7 +8,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"etherm/internal/config"
+	"etherm/api"
 	"etherm/internal/core"
 	"etherm/internal/degrade"
 	"etherm/internal/rare"
@@ -43,7 +43,7 @@ func (e *Engine) evaluate(ctx context.Context, i int, s Scenario, sampleWorkers 
 		return nil, err
 	}
 	method := s.UQ.EffectiveMethod()
-	opt := config.CoreOptions(s.Sim, method != MethodNone || s.UQ.Rare())
+	opt := coreOptions(s.Sim, method != MethodNone || s.UQ.Rare())
 	sim, err := inst.Simulator(opt)
 	if err != nil {
 		return nil, err
@@ -280,7 +280,7 @@ func applyCampaign(res *ScenarioResult, camp *uq.CampaignResult, shards int) {
 // ElapsedS.
 func sampledResult(s Scenario, inst *Instance, camp *uq.CampaignResult) (*ScenarioResult, error) {
 	tCrit := criticalK(s)
-	f7, err := study.BuildFig7FromCampaign(study.Times(config.CoreOptions(s.Sim, true)), camp, len(inst.Problem.Wires), tCrit)
+	f7, err := study.BuildFig7FromCampaign(study.Times(coreOptions(s.Sim, true)), camp, len(inst.Problem.Wires), tCrit)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +333,7 @@ func fillFromFig7(res *ScenarioResult, inst *Instance, f7 *study.Fig7, tCrit flo
 func campaignTag(s Scenario) string {
 	id := struct {
 		Chip      ChipSpec
-		Sim       config.SimConfig
+		Sim       api.SimSpec
 		Method    string
 		Seed      uint64
 		Rho       float64

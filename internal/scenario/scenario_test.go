@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"etherm/api"
 	"etherm/internal/chipmodel"
-	"etherm/internal/config"
 )
 
 func TestChipSpecValidate(t *testing.T) {
@@ -100,12 +100,12 @@ func TestBatchValidate(t *testing.T) {
 	// Contradictory solver knobs, by contrast, ARE structural: they fail
 	// submission instead of silently degrading at solve time.
 	b = &Batch{Scenarios: []Scenario{{Name: "x",
-		Sim: config.SimConfig{Precision: "mixed", Precond: "jacobi"}}}}
+		Sim: api.SimSpec{Precision: "mixed", Precond: "jacobi"}}}}
 	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "precision=mixed") {
 		t.Errorf("contradictory solver knobs accepted: %v", err)
 	}
 	b = &Batch{Scenarios: []Scenario{{Name: "x",
-		Sim: config.SimConfig{Deflation: true, Precond: "none"}}}}
+		Sim: api.SimSpec{Deflation: true, Precond: "none"}}}}
 	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "deflation") {
 		t.Errorf("deflation without a factorization preconditioner accepted: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestSimDefaults(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", d.Sim)
 	}
 	// Explicit values survive.
-	s.Sim = config.SimConfig{EndTimeS: 10, NumSteps: 4}
+	s.Sim = api.SimSpec{EndTimeS: 10, NumSteps: 4}
 	if d := s.WithSimDefaults(); d.Sim.EndTimeS != 10 || d.Sim.NumSteps != 4 {
 		t.Error("explicit sim config overwritten")
 	}
@@ -215,13 +215,13 @@ func TestScenarioSolverKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := config.CoreOptions(batch.Scenarios[0].Sim, false)
+	opt := coreOptions(batch.Scenarios[0].Sim, false)
 	if opt.PrecondOmega != 0.95 {
 		t.Errorf("solver knobs lost in materialization: %+v", opt)
 	}
 	bad := Scenario{
 		Name: "bad",
-		Sim:  config.SimConfig{EndTimeS: 1, NumSteps: 1, Precond: "ilu"},
+		Sim:  api.SimSpec{EndTimeS: 1, NumSteps: 1, Precond: "ilu"},
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid preconditioner should fail scenario validation")

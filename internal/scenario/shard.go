@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"etherm/internal/config"
 	"etherm/internal/degrade"
 	"etherm/internal/uq"
 )
@@ -67,7 +66,7 @@ func RunShard(ctx context.Context, cache *AssemblyCache, s Scenario, shard, work
 	if err != nil {
 		return nil, err
 	}
-	sim, err := inst.Simulator(config.CoreOptions(s.Sim, true))
+	sim, err := inst.Simulator(coreOptions(s.Sim, true))
 	if err != nil {
 		return nil, err
 	}

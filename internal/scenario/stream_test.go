@@ -9,9 +9,9 @@ import (
 )
 
 // TestStreamingScenarioMatchesStored runs the same Monte Carlo scenario
-// through the stored-ensemble and streaming-campaign paths and verifies the
-// hottest-wire summaries agree bit-for-bit, while the streaming result
-// carries the extra campaign accounting.
+// with and without the streaming flag and verifies the hottest-wire
+// summaries agree bit-for-bit, while the streaming result carries the
+// extra campaign accounting.
 func TestStreamingScenarioMatchesStored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field ensembles")

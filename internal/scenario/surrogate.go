@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"etherm/internal/config"
+	"etherm/api"
 	"etherm/internal/study"
 	"etherm/internal/surrogate"
 )
@@ -26,7 +26,7 @@ func SurrogateID(s Scenario, level, order int) string {
 	s = s.WithSimDefaults()
 	id := struct {
 		Chip      ChipSpec
-		Sim       config.SimConfig
+		Sim       api.SimSpec
 		Rho       float64
 		MeanDelta float64
 		StdDelta  float64
@@ -70,7 +70,7 @@ func BuildSurrogate(ctx context.Context, cache *AssemblyCache, s Scenario, level
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	sim, err := inst.Simulator(config.CoreOptions(s.Sim, true))
+	sim, err := inst.Simulator(coreOptions(s.Sim, true))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -25,7 +25,7 @@ func startWorker(t *testing.T, ctx context.Context, cl *client.Client) {
 // api.Routes (the source openapi.yaml is checked against) cannot drift
 // from the surface the server actually serves.
 func TestRouteTableMatchesContract(t *testing.T) {
-	srv := NewServer(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1})
 	for _, route := range api.Routes() {
 		path := strings.ReplaceAll(route.Pattern, "{id}", "probe-id")
 		req, err := http.NewRequest(route.Method, "http://server"+path, nil)
@@ -43,7 +43,7 @@ func TestRouteTableMatchesContract(t *testing.T) {
 // RFC-9457 problem+json envelope carrying the right status and condition
 // code.
 func TestErrorConformance(t *testing.T) {
-	ts, _ := newTestServer(t, NewServer(1))
+	ts, _ := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 
 	for _, tc := range []struct {
 		name         string
@@ -126,7 +126,7 @@ func TestErrorConformance(t *testing.T) {
 // TestVersionNegotiation covers the version header contract: matching and
 // absent versions pass, responses are stamped.
 func TestVersionNegotiation(t *testing.T) {
-	ts, _ := newTestServer(t, NewServer(1))
+	ts, _ := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	for _, requested := range []string{"", api.APIVersion} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
 		if requested != "" {
@@ -155,7 +155,7 @@ func TestJobEventsStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -240,7 +240,7 @@ func TestFleetJobOverServerAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field ensembles")
 	}
-	_, cl := newTestServer(t, NewServerWithOptions(1, 8, 5*time.Second))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1, MaxHistory: 8, LeaseTTL: 5 * time.Second}))
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 

@@ -15,7 +15,7 @@ import (
 // Graceful drain: a draining server sheds every submission with a
 // retryable 503 problem while reads keep working.
 func TestDrainShedsSubmissions(t *testing.T) {
-	srv := NewServer(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1})
 	_, cl := newTestServer(t, srv)
 	ctx := context.Background()
 
@@ -78,7 +78,7 @@ func TestHubShutdownBroadcast(t *testing.T) {
 // still receives the shutdown frame: the watch loop checks the draining
 // flag every tick.
 func TestDrainEndsFleetWatchWithShutdownEvent(t *testing.T) {
-	srv := NewServer(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1})
 	_, cl := newTestServer(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -125,7 +125,7 @@ func TestDrainTimeoutCancelsRunningJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	srv := NewServer(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1})
 	_, cl := newTestServer(t, srv)
 	ctx := context.Background()
 
@@ -218,5 +218,51 @@ func TestDegradedModeShedsAndRecovers(t *testing.T) {
 	}
 	if _, err := cl.CancelJob(ctx, job.ID); err != nil {
 		t.Logf("cancel cleanup: %v", err) // may already be running/finished
+	}
+}
+
+// Fleet submissions keep the same contract: a job the store cannot
+// persist is shed with a retryable 503 degraded and leaves no trace, the
+// coordinator's RunSharded fails instead of waiting on a job a restart
+// would lose, and the first acknowledged job is persisted under the first
+// sequence number.
+func TestFleetSubmissionPersistsBeforeAck(t *testing.T) {
+	fs := &flakyStore{Store: jobstore.NewMem()}
+	srv, err := New(Config{MaxConcurrent: 1, Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := newTestServer(t, srv)
+	ctx := context.Background()
+
+	fs.fail.Store(true)
+	cl0 := client.New(cl.BaseURL(), client.WithRetry(1, time.Millisecond))
+	_, err = cl0.SubmitFleetJob(ctx, crashScenario())
+	if !api.IsDegraded(err) {
+		t.Fatalf("fleet submission with failing store: got %v, want a degraded rejection", err)
+	}
+	if e, ok := api.AsError(err); !ok || e.Status != http.StatusServiceUnavailable || e.RetryAfterS <= 0 {
+		t.Errorf("degraded rejection should be 503 with a Retry-After hint, got %+v", e)
+	}
+	if jobs, err := cl.ListFleetJobs(ctx); err != nil || len(jobs) != 0 {
+		t.Fatalf("shed fleet submission left state behind: jobs=%v err=%v", jobs, err)
+	}
+	if _, err := srv.Coordinator().RunSharded(ctx, *crashScenario()); err == nil {
+		t.Error("RunSharded accepted a job the store failed to persist")
+	}
+
+	fs.fail.Store(false)
+	fj, err := cl.SubmitFleetJob(ctx, crashScenario())
+	if err != nil {
+		t.Fatalf("fleet submission after store recovery: %v", err)
+	}
+	if fj.ID != "fleet-000001" {
+		t.Errorf("first accepted fleet job is %s; a shed submission leaked a sequence number", fj.ID)
+	}
+	if _, ok := fs.State().Kinds[jobstore.KindFleet][fj.ID]; !ok {
+		t.Errorf("acknowledged fleet job %s is not in the store", fj.ID)
+	}
+	if _, err := cl.CancelFleetJob(ctx, fj.ID); err != nil {
+		t.Logf("cancel cleanup: %v", err)
 	}
 }

@@ -20,7 +20,7 @@ func TestRareJobOverServerAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -96,7 +96,7 @@ func TestRareJobOverServerAPI(t *testing.T) {
 // TestRareSubmitValidation checks that a malformed rare spec is rejected
 // at submission with a structured 4xx, not accepted and failed later.
 func TestRareSubmitValidation(t *testing.T) {
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx := context.Background()
 	b := &api.Batch{Scenarios: []api.Scenario{{
 		Name: "bad",

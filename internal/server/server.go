@@ -124,31 +124,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// NewServer returns a server allowing maxConcurrent batch jobs to run in
-// parallel (minimum 1), retaining at most DefaultMaxHistory finished jobs.
-func NewServer(maxConcurrent int) *Server {
-	return NewServerWithHistory(maxConcurrent, DefaultMaxHistory)
-}
-
-// NewServerWithHistory is NewServer with an explicit finished-job retention
-// cap (minimum 1).
-func NewServerWithHistory(maxConcurrent, maxHistory int) *Server {
-	return NewServerWithOptions(maxConcurrent, maxHistory, fleet.DefaultLeaseTTL)
-}
-
-// NewServerWithOptions is a convenience constructor for in-memory servers:
-// concurrency cap, retention cap and the fleet shard-lease TTL (how long
-// an etworker may go silent before its shard is re-leased).
-func NewServerWithOptions(maxConcurrent, maxHistory int, leaseTTL time.Duration) *Server {
-	s, err := New(Config{MaxConcurrent: maxConcurrent, MaxHistory: maxHistory, LeaseTTL: leaseTTL})
-	if err != nil {
-		// Unreachable: only store recovery can fail, and the in-memory
-		// store has nothing to recover.
-		panic(err)
-	}
-	return s
-}
-
 // New builds a server from a Config, recovering persisted state (and
 // requeueing interrupted jobs) when the store holds any.
 func New(cfg Config) (*Server, error) {
@@ -314,11 +289,6 @@ func (s *Server) allowedMethods(r *http.Request) []string {
 	return allow
 }
 
-// writeJSON renders a 2xx body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	api.WriteJSON(w, status, v)
-}
-
 // handleSubmit accepts an api.Batch as JSON, enqueues it and returns 202
 // with the job description.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -399,7 +369,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go s.runJob(ctx, job.ID, batch)
 
 	w.Header().Set("Location", api.JobPath(job.ID))
-	writeJSON(w, http.StatusAccepted, s.snapshot(job.ID))
+	api.WriteJSON(w, http.StatusAccepted, s.snapshot(job.ID))
 }
 
 // runJob executes one batch under the runner-slot semaphore, streaming
@@ -609,7 +579,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if cancel != nil {
 		cancel()
 	}
-	writeJSON(w, http.StatusAccepted, s.snapshot(id))
+	api.WriteJSON(w, http.StatusAccepted, s.snapshot(id))
 }
 
 // writeFleetJob renders the coordinator's view of a fleet job (202).
@@ -619,7 +589,7 @@ func (s *Server) writeFleetJob(w http.ResponseWriter, r *http.Request, id string
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, fv)
+	api.WriteJSON(w, http.StatusAccepted, fv)
 }
 
 // evictLocked drops the oldest finished jobs until at most maxHistory
@@ -677,13 +647,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j := s.snapshot(id)
 	if j == nil {
 		if fv, ok := s.coord.Job(id); ok {
-			writeJSON(w, http.StatusOK, fv)
+			api.WriteJSON(w, http.StatusOK, fv)
 			return
 		}
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	api.WriteJSON(w, http.StatusOK, j)
 }
 
 // jobSeq extracts the monotonic sequence number of a job ID ("job-000042"),
@@ -744,13 +714,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		out.Jobs = append(out.Jobs, &cp)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handlePresets serves the bundled scenario suite so clients can fetch,
 // edit and resubmit it.
 func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, scenario.Presets())
+	api.WriteJSON(w, http.StatusOK, scenario.Presets())
 }
 
 // handleHealth reports liveness plus cache statistics.
@@ -759,7 +729,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	n := len(s.jobs)
 	queued := s.queuedLocked()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.Health{
+	api.WriteJSON(w, http.StatusOK, api.Health{
 		Status: "ok", Jobs: n,
 		FleetJobs:    len(s.coord.Jobs()),
 		CacheEntries: s.cache.Len(),

@@ -23,6 +23,16 @@ func newTestServer(t *testing.T, srv *Server) (*httptest.Server, *client.Client)
 	return ts, client.New(ts.URL)
 }
 
+// mustNew builds a server from cfg or fails the test.
+func mustNew(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // submitBatch submits a batch through the SDK.
 func submitBatch(t *testing.T, cl *client.Client, b *api.Batch) *api.Job {
 	t.Helper()
@@ -66,7 +76,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 
 	job := submitBatch(t, cl, tinyBatch())
 	if job.ID == "" || (job.Status != api.JobQueued && job.Status != api.JobRunning) {
@@ -134,7 +144,7 @@ func TestJobRoundTrip(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	ts, _ := newTestServer(t, NewServer(1))
+	ts, _ := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 
 	for name, tc := range map[string]struct {
 		body   string
@@ -170,7 +180,7 @@ func TestFinishedJobEviction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServerWithHistory(1, 2))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1, MaxHistory: 2}))
 
 	small := &api.Batch{Scenarios: []api.Scenario{{
 		Name: "pair",
@@ -203,7 +213,7 @@ func TestJobCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx := context.Background()
 
 	// A long streaming Monte Carlo job: hundreds of samples, so the cancel
@@ -260,14 +270,14 @@ func TestJobCancellation(t *testing.T) {
 }
 
 func TestUnknownJob(t *testing.T) {
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	if _, err := cl.GetJob(context.Background(), "job-999999"); !api.IsNotFound(err) {
 		t.Errorf("unknown job returned %v, want 404 problem", err)
 	}
 }
 
 func TestPresetsEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	b, err := cl.Presets(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +296,7 @@ func TestPresetsEndpoint(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	h, err := cl.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +309,7 @@ func TestHealthz(t *testing.T) {
 // TestListPagination walks GET /v1/jobs with limit/cursor through the SDK:
 // newest first, stable page boundaries, empty cursor at the end.
 func TestListPagination(t *testing.T) {
-	ts, cl := newTestServer(t, NewServer(1))
+	ts, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx := context.Background()
 
 	quick := &api.Batch{Scenarios: []api.Scenario{{

@@ -24,7 +24,7 @@ func TestEventHubSoak1kWatchers(t *testing.T) {
 		t.Skip("runs a streaming ensemble with 1000 SSE watchers")
 	}
 	const nWatchers = 1000
-	srv := NewServer(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1})
 	_, cl := newTestServer(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()

@@ -215,13 +215,13 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 			meta := *existing.meta
 			s.mu.Unlock()
 			w.Header().Set("Location", api.SurrogatePath(id))
-			writeJSON(w, http.StatusAccepted, &meta)
+			api.WriteJSON(w, http.StatusAccepted, &meta)
 			return
 		case existing.meta.Status == api.SurrogateReady && !rec.spec.Rebuild:
 			meta := *existing.meta
 			s.mu.Unlock()
 			w.Header().Set("Location", api.SurrogatePath(id))
-			writeJSON(w, http.StatusOK, &meta)
+			api.WriteJSON(w, http.StatusOK, &meta)
 			return
 		default:
 			// Failed build or forced rebuild: reset in place, below.
@@ -271,7 +271,7 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 	go s.buildSurrogate(ctx, id, rec.scenario, rec.level, rec.order)
 
 	w.Header().Set("Location", api.SurrogatePath(id))
-	writeJSON(w, http.StatusAccepted, &meta)
+	api.WriteJSON(w, http.StatusAccepted, &meta)
 }
 
 // removeID drops one ID from an order slice, preserving order.
@@ -373,7 +373,7 @@ func (s *Server) handleSurrogateList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
+	api.WriteJSON(w, http.StatusOK, list)
 }
 
 // handleSurrogateGet returns one surrogate's metadata.
@@ -390,7 +390,7 @@ func (s *Server) handleSurrogateGet(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such surrogate %s", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, &meta)
+	api.WriteJSON(w, http.StatusOK, &meta)
 }
 
 // surrogateFallback builds the FEM batch that answers a failed query
@@ -491,5 +491,5 @@ func (s *Server) handleSurrogateQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mSurrQueries["hit"].Inc()
 	s.mSurrLatency.Observe(time.Since(start).Seconds())
-	writeJSON(w, http.StatusOK, ans)
+	api.WriteJSON(w, http.StatusOK, ans)
 }

@@ -57,7 +57,7 @@ func TestSurrogateBuildAndQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx := context.Background()
 
 	sg := buildReady(t, cl)
@@ -128,7 +128,7 @@ func TestSurrogateOutOfDomainFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	sg := buildReady(t, cl)
 
 	bad := sg.DeltaHi + 0.05
@@ -166,7 +166,7 @@ func TestSurrogateNotReady(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	_, cl := newTestServer(t, NewServer(1))
+	_, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -268,7 +268,7 @@ func TestSurrogateMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs coupled-field simulations")
 	}
-	ts, cl := newTestServer(t, NewServer(1))
+	ts, cl := newTestServer(t, mustNew(t, Config{MaxConcurrent: 1}))
 	ctx := context.Background()
 	sg := buildReady(t, cl)
 

@@ -84,7 +84,7 @@ func (v *VectorMoments) MeanAll() []float64 {
 }
 
 // StdAll returns the running standard deviations, with the under-sampled
-// NaN mapped to 0 (matching the stored-ensemble convention).
+// NaN mapped to 0.
 func (v *VectorMoments) StdAll() []float64 {
 	out := make([]float64, len(v.Mean))
 	for j := range out {

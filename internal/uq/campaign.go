@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 
 	"etherm/internal/pool"
 	"etherm/internal/stats"
@@ -30,8 +29,9 @@ const (
 )
 
 // DefaultBatchSize is the adaptive-stopping check granularity: rules are
-// evaluated whenever the folded sample count crosses a multiple of the
-// batch size, keeping the stop decision deterministic for any worker count.
+// evaluated whenever the folded sample count reaches a multiple of it, so
+// the stopped sample count is a deterministic function of the sample
+// stream alone, for any worker count.
 const DefaultBatchSize = 64
 
 // DefaultCheckpointEvery is the default folded-sample period between
@@ -47,13 +47,9 @@ type CampaignOptions struct {
 	// are bit-identical for any worker count.
 	Workers int
 
-	// BatchSize is the adaptive-stopping granularity (default
-	// DefaultBatchSize). Stop rules are checked when the folded count
-	// reaches a multiple of it, so the stopped sample count is a
-	// deterministic function of the sample stream alone.
-	BatchSize int
 	// TargetSE, when positive, stops the campaign once the largest
-	// output-wise Monte Carlo standard error σ_j/√N (eq. 6) drops to it.
+	// output-wise Monte Carlo standard error σ_j/√N (eq. 6) drops to it,
+	// checked every DefaultBatchSize folded samples.
 	TargetSE float64
 	// TargetCI, when positive (with Threshold set), stops once the 95%
 	// Wilson half-width of the any-output exceedance probability drops to it.
@@ -63,12 +59,6 @@ type CampaignOptions struct {
 	Threshold float64
 	// Quantiles lists P² quantile levels sketched per output.
 	Quantiles []float64
-
-	// StoreSamples retains every sample's params and outputs in an
-	// Ensemble (exact quantiles, PCE fitting) at O(M·NumOutputs) memory.
-	// The default streaming path retains O(NumOutputs) accumulator state
-	// only. Checkpoint/resume requires the streaming path.
-	StoreSamples bool
 
 	// CheckpointPath, when set, periodically persists a JSON Checkpoint
 	// (atomic rename) every CheckpointEvery folded samples and at the end
@@ -92,8 +82,7 @@ type CampaignOptions struct {
 }
 
 // CampaignResult is the outcome of a streaming campaign: cumulative
-// accumulator state plus accounting. With StoreSamples it also carries the
-// stored Ensemble.
+// accumulator state plus accounting.
 type CampaignResult struct {
 	SamplerName string
 	SamplerFP   uint64 // fingerprint of the sample stream (see Checkpoint)
@@ -104,7 +93,6 @@ type CampaignResult struct {
 	Failures    int // failed evaluations (cumulative)
 	StopReason  string
 	Stats       *stats.StreamStats
-	Ensemble    *Ensemble // non-nil only with StoreSamples
 }
 
 // Succeeded returns the number of successful evaluations folded so far.
@@ -421,12 +409,12 @@ func (f *fold) run(ctx context.Context) (partial bool, err error) {
 // accumulators the moment it completes. Sample i is deterministic (sampler
 // point i through dists) and results are folded in strict index order, so
 // every statistic — including the adaptive stop decision — is bit-identical
-// for any worker count. Memory on the streaming path is O(NumOutputs).
+// for any worker count. Memory is O(NumOutputs), whatever the budget.
 //
 // On context cancellation the partial result is returned together with the
 // context error; a checkpoint (when configured) has been written so the
 // campaign can resume. A campaign where every evaluation failed returns an
-// error, like RunEnsemble.
+// error.
 func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Sampler, opt CampaignOptions) (*CampaignResult, error) {
 	if opt.MaxSamples <= 0 {
 		return nil, fmt.Errorf("uq: campaign needs a positive sample budget")
@@ -443,9 +431,6 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 	// Resume or fresh accumulator state.
 	var st *stats.StreamStats
 	if cp := opt.Resume; cp != nil {
-		if opt.StoreSamples {
-			return nil, fmt.Errorf("uq: checkpoint resume requires the streaming path (StoreSamples off)")
-		}
 		threshold := opt.Threshold
 		if threshold <= 0 {
 			threshold = cp.Stats.Threshold // no threshold asked: keep the checkpoint's
@@ -479,32 +464,19 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		return res, nil
 	}
 
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
 	// Resuming at a batch boundary re-evaluates the stop rules before any
 	// work: a campaign that already stopped adaptively (always at a
 	// boundary) becomes a no-op on resubmission instead of burning another
 	// batch. Mid-batch checkpoints (cancellation) skip this so the resumed
 	// run keeps making exactly the boundary decisions of an uninterrupted
 	// one.
-	if f.next > 0 && f.next%batch == 0 {
+	if f.next > 0 && f.next%DefaultBatchSize == 0 {
 		if r := stopReason(st, opt); r != "" {
 			res.StopReason = r
 			return res, nil
 		}
 	}
 
-	var ens *Ensemble
-	if opt.StoreSamples {
-		ens = &Ensemble{
-			SamplerName: s.Name(),
-			NumOutputs:  f.nOut,
-			Params:      make([][]float64, opt.MaxSamples),
-			Outputs:     make([][]float64, opt.MaxSamples),
-		}
-	}
 	f.save = func(path string) error {
 		res.Evaluated, res.Failures = f.next, f.failures
 		cp := res.Checkpoint()
@@ -514,12 +486,8 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 	f.step = func(i int, r *sample) bool {
 		if r.err == nil {
 			st.Add(r.out)
-			if ens != nil {
-				ens.Params[i] = slices.Clone(r.params)
-				ens.Outputs[i] = slices.Clone(r.out)
-			}
 		}
-		if n := i + 1; n < opt.MaxSamples && n%batch == 0 {
+		if n := i + 1; n < opt.MaxSamples && n%DefaultBatchSize == 0 {
 			res.StopReason = stopReason(st, opt)
 		}
 		return res.StopReason == ""
@@ -534,13 +502,6 @@ func RunCampaign(ctx context.Context, factory ModelFactory, dists []Dist, s Samp
 		res.StopReason = StopCanceled
 	case res.StopReason == "":
 		res.StopReason = StopBudget
-	}
-	if ens != nil {
-		ens.M = res.Evaluated
-		ens.Params = ens.Params[:res.Evaluated]
-		ens.Outputs = ens.Outputs[:res.Evaluated]
-		ens.Failures = res.Failures
-		res.Ensemble = ens
 	}
 	return res, err
 }

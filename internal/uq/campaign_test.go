@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"etherm/internal/stats"
 )
 
 // slowPolyModel is polyModel with an optional per-eval spin to widen the
@@ -53,18 +55,31 @@ func normDists(d int) []Dist {
 	return out
 }
 
+// unitLaw is the identity law on (0, 1): the model sees the sampler's
+// points unchanged.
+type unitLaw struct{}
+
+func (unitLaw) Quantile(u float64) float64 { return u }
+func (unitLaw) CDF(x float64) float64      { return min(max(x, 0), 1) }
+
 func TestCampaignMatchesStoredEnsembleExactly(t *testing.T) {
-	// The streaming fold uses the identical Welford recurrence in the
-	// identical sample order as the stored-ensemble post-processing, so the
-	// moments must agree bit-for-bit, at any worker count.
+	// The streaming fold runs the Welford recurrence in sample order, so
+	// its moments must agree bit for bit with the same recurrence over the
+	// stored samples, at any worker count.
 	dists := normDists(2)
 	const m = 4096
-	ens, err := RunEnsemble(SingleFactory(&vecModel{nOut: 5}), dists,
-		PseudoRandom{D: 2, Seed: 13}, EnsembleOptions{Samples: m, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
+	model, s := &vecModel{nOut: 5}, PseudoRandom{D: 2, Seed: 13}
+	stored := stats.NewVectorMoments(5)
+	p, out := make([]float64, 2), make([]float64, 5)
+	for i := 0; i < m; i++ {
+		s.Sample(i, p)
+		TransformPoint(dists, p, p)
+		if err := model.Eval(p, out); err != nil {
+			t.Fatal(err)
+		}
+		stored.Add(out)
 	}
-	wantMean, wantStd := ens.MeanAll(), ens.StdAll()
+	wantMean, wantStd := stored.MeanAll(), stored.StdAll()
 
 	for _, workers := range []int{1, 2, 8} {
 		camp, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 5}), dists,
@@ -72,7 +87,7 @@ func TestCampaignMatchesStoredEnsembleExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if camp.StopReason != StopBudget || camp.Evaluated != m || camp.Ensemble != nil {
+		if camp.StopReason != StopBudget || camp.Evaluated != m {
 			t.Fatalf("workers=%d: unexpected campaign accounting %+v", workers, camp)
 		}
 		gotMean, gotStd := camp.MeanAll(), camp.StdAll()
@@ -87,30 +102,8 @@ func TestCampaignMatchesStoredEnsembleExactly(t *testing.T) {
 	}
 }
 
-func TestCampaignStoredPathPreservesEnsemble(t *testing.T) {
-	dists := normDists(2)
-	camp, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 3}), dists,
-		PseudoRandom{D: 2, Seed: 4}, CampaignOptions{MaxSamples: 200, StoreSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens := camp.Ensemble
-	if ens == nil || ens.M != 200 || len(ens.Outputs) != 200 {
-		t.Fatalf("stored ensemble missing or truncated: %+v", ens)
-	}
-	// Stored samples and streaming accumulators describe the same data.
-	if ens.Mean(1) != camp.Stats.Moments.Mean[1] {
-		t.Errorf("ensemble mean %g vs accumulator %g", ens.Mean(1), camp.Stats.Moments.Mean[1])
-	}
-	for i, o := range ens.Outputs {
-		if o == nil {
-			t.Fatalf("sample %d missing", i)
-		}
-	}
-}
-
 func TestCampaignWorkerInvarianceWithFailures(t *testing.T) {
-	dists := []Dist{Uniform{0, 1}}
+	dists := []Dist{unitLaw{}}
 	run := func(workers int) *CampaignResult {
 		camp, err := RunCampaign(context.Background(), SingleFactory(&failingModel{failAbove: 0.7}), dists,
 			PseudoRandom{D: 1, Seed: 3}, CampaignOptions{
@@ -152,7 +145,7 @@ func TestCampaignAdaptiveStopDeterministic(t *testing.T) {
 	run := func(workers int) *CampaignResult {
 		camp, err := RunCampaign(context.Background(), SingleFactory(&spinModel{c: []float64{1}, spin: 50}), dists,
 			PseudoRandom{D: 1, Seed: 8}, CampaignOptions{
-				MaxSamples: 100000, Workers: workers, BatchSize: 64, TargetSE: 0.05,
+				MaxSamples: 100000, Workers: workers, TargetSE: 0.05,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +156,7 @@ func TestCampaignAdaptiveStopDeterministic(t *testing.T) {
 	if a.StopReason != StopTargetSE {
 		t.Fatalf("stop reason %q, want %q", a.StopReason, StopTargetSE)
 	}
-	if a.Evaluated >= 100000 || a.Evaluated%64 != 0 {
+	if a.Evaluated >= 100000 || a.Evaluated%DefaultBatchSize != 0 {
 		t.Fatalf("stopped at %d — not an early batch boundary", a.Evaluated)
 	}
 	if se := a.Stats.Moments.MaxSE(); se > 0.05 {
@@ -179,10 +172,10 @@ func TestCampaignAdaptiveStopDeterministic(t *testing.T) {
 }
 
 func TestCampaignTargetCIStop(t *testing.T) {
-	dists := []Dist{Uniform{0, 1}}
+	dists := []Dist{unitLaw{}}
 	camp, err := RunCampaign(context.Background(), SingleFactory(&failingModel{failAbove: 2}), dists,
 		PseudoRandom{D: 1, Seed: 2}, CampaignOptions{
-			MaxSamples: 1 << 20, BatchSize: 256, Threshold: 0.9, TargetCI: 0.02,
+			MaxSamples: 1 << 20, Threshold: 0.9, TargetCI: 0.02,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +290,6 @@ func TestCampaignResumeValidation(t *testing.T) {
 		PseudoRandom{D: 2, Seed: 6}, CampaignOptions{MaxSamples: 200, Resume: cp}); err == nil {
 		t.Error("output-mismatched resume accepted")
 	}
-	// Resume with StoreSamples is unsupported.
-	if _, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 4}), dists,
-		PseudoRandom{D: 2, Seed: 6}, CampaignOptions{MaxSamples: 200, Resume: cp, StoreSamples: true}); err == nil {
-		t.Error("stored-path resume accepted")
-	}
 	// Budget already met: returns the checkpointed state unchanged.
 	done, err := RunCampaign(context.Background(), SingleFactory(&vecModel{nOut: 4}), dists,
 		PseudoRandom{D: 2, Seed: 6}, CampaignOptions{MaxSamples: 100, Resume: cp})
@@ -375,7 +363,7 @@ func TestCampaignResumeOfStoppedCampaignIsNoOp(t *testing.T) {
 	// resubmitting it must re-evaluate the rule on the preloaded prefix and
 	// return without a single new model evaluation.
 	dists := normDists(1)
-	opt := CampaignOptions{MaxSamples: 100000, BatchSize: 64, TargetSE: 0.05}
+	opt := CampaignOptions{MaxSamples: 100000, TargetSE: 0.05}
 	first, err := RunCampaign(context.Background(), SingleFactory(&spinModel{c: []float64{1}}), dists,
 		PseudoRandom{D: 1, Seed: 8}, opt)
 	if err != nil {
@@ -428,18 +416,18 @@ func TestCampaignCancellation(t *testing.T) {
 }
 
 func TestCampaignAllFailuresErrors(t *testing.T) {
-	dists := []Dist{Uniform{0.9, 1}}
-	if _, err := RunCampaign(context.Background(), SingleFactory(&failingModel{failAbove: 0.1}), dists,
+	dists := []Dist{unitLaw{}}
+	if _, err := RunCampaign(context.Background(), SingleFactory(&failingModel{failAbove: -1}), dists,
 		PseudoRandom{D: 1, Seed: 3}, CampaignOptions{MaxSamples: 10}); err == nil {
 		t.Error("fully failed campaign should error")
 	}
 }
 
-// TestCampaignStreamingMemoryBound is the campaign-memory gate: the
-// streaming path must retain O(NumOutputs) accumulator state, not
-// O(M·NumOutputs) sample storage. With M=50000 and 64 outputs the stored
-// path would retain ≥ 25 MB of outputs alone; the gate allows 4 MB for
-// accumulators, pools and noise.
+// TestCampaignStreamingMemoryBound is the campaign-memory gate: a
+// campaign must retain O(NumOutputs) accumulator state, not O(M·NumOutputs)
+// sample storage. With M=50000 and 64 outputs, stored samples would take
+// ≥ 25 MB of outputs alone; the gate allows 4 MB for accumulators, pools
+// and noise.
 func TestCampaignStreamingMemoryBound(t *testing.T) {
 	dists := normDists(2)
 	measure := func() uint64 {
@@ -457,13 +445,13 @@ func TestCampaignStreamingMemoryBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := measure()
-	if camp.Evaluated != 50000 || camp.Ensemble != nil {
+	if camp.Evaluated != 50000 {
 		t.Fatalf("campaign accounting wrong: %+v", camp)
 	}
 	retained := int64(after) - int64(before)
 	const limit = 4 << 20
 	if retained > limit {
-		t.Errorf("streaming campaign retained %d bytes (> %d): sample storage leaked into the streaming path", retained, limit)
+		t.Errorf("campaign retained %d bytes (> %d): sample storage leaked into the fold", retained, limit)
 	}
 	// The statistics must still be live and sane.
 	if camp.Stats.Moments.N != 50000 || math.IsNaN(camp.Stats.Moments.Mean[0]) {

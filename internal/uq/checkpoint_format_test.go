@@ -12,7 +12,7 @@ import (
 // layout is a contract: a renamed tag would strand every interrupted
 // campaign on disk. The two literals below were written by an earlier
 // build for a 1-output model that fails above 0.8 (Monte Carlo seed 4
-// over Uniform(0,1), threshold 0.5): a single-fold campaign checkpoint
+// over the identity law on (0,1), threshold 0.5): a single-fold campaign checkpoint
 // after 8 samples with the median sketched, and shard 0 of a 24-sample,
 // 2-shard plan in blocks of 4, canceled mid-block at sample 7. Each must
 // load, write back byte for byte, and resume to the state of an
@@ -24,7 +24,7 @@ const (
 
 func goldenFactory() ModelFactory { return SingleFactory(&failingModel{failAbove: 0.8}) }
 
-func goldenDists() []Dist { return []Dist{Uniform{0, 1}} }
+func goldenDists() []Dist { return []Dist{unitLaw{}} }
 
 // remarshal checks that a loaded checkpoint writes back as the literal.
 func remarshal(t *testing.T, v any, literal string) {

@@ -22,8 +22,9 @@ func (r *CollocationResult) StdDev(j int) float64 {
 }
 
 // TensorCollocation computes E[f] and Var[f] with a full tensor-product
-// Gauss rule of n points per dimension. Cost n^d evaluations — use for small
-// d or as a dense reference for the Smolyak grid.
+// Gauss–Hermite rule of n points per dimension over normal laws (any other
+// law is an error). Cost n^d evaluations — use for small d or as a dense
+// reference for the Smolyak grid.
 func TensorCollocation(factory ModelFactory, dists []Dist, n int) (*CollocationResult, error) {
 	d := len(dists)
 	if d == 0 {

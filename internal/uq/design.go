@@ -30,8 +30,9 @@ func pointKey(p []float64) string {
 }
 
 // SmolyakDesign enumerates the Smolyak sparse grid of the given level
-// (level ≥ 0; level 0 is the single-point rule) over the given
-// distributions with the combination technique over non-nested Gauss rules:
+// (level ≥ 0; level 0 is the single-point rule) over the given normal laws
+// (any other law is an error) with the combination technique over
+// non-nested Gauss–Hermite rules:
 //
 //	A(q,d) = Σ_{q−d+1 ≤ |i| ≤ q} (−1)^{q−|i|} C(d−1, q−|i|) ⊗_j U^{i_j}
 //

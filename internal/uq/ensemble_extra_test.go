@@ -1,13 +1,15 @@
 package uq
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
 // failingModel fails on selected sample values to exercise the failure
-// accounting of the ensemble driver.
+// accounting of the campaign fold.
 type failingModel struct{ failAbove float64 }
 
 func (m *failingModel) Dim() int        { return 1 }
@@ -21,72 +23,60 @@ func (m *failingModel) Eval(p, out []float64) error {
 }
 
 func TestEnsemblePartialFailures(t *testing.T) {
-	dists := []Dist{Uniform{0, 1}}
-	ens, err := RunEnsemble(SingleFactory(&failingModel{failAbove: 0.5}), dists,
-		PseudoRandom{D: 1, Seed: 3}, EnsembleOptions{Samples: 200})
-	if err != nil {
-		t.Fatal(err)
+	camp := runCampaign(t, &failingModel{failAbove: 0.5}, []Dist{unitLaw{}}, PseudoRandom{D: 1, Seed: 3}, 200, 0)
+	if camp.Failures == 0 || camp.Failures == 200 {
+		t.Fatalf("failures = %d, expected a partial count", camp.Failures)
 	}
-	if ens.Failures == 0 || ens.Failures == 200 {
-		t.Fatalf("failures = %d, expected a partial count", ens.Failures)
-	}
-	if ens.Succeeded()+ens.Failures != 200 {
+	if camp.Evaluated != 200 || camp.Stats.Moments.N != camp.Succeeded() {
 		t.Error("accounting broken")
 	}
-	// Statistics exclude failed samples: all retained outputs ≤ 0.5.
-	for _, v := range ens.OutputSeries(0) {
-		if v > 0.5 {
-			t.Fatalf("failed sample leaked into statistics: %g", v)
-		}
-	}
-	if q := ens.Quantile(0, 1.0); q > 0.5 {
-		t.Error("quantile includes failed samples")
+	// Statistics exclude failed samples: all folded outputs ≤ 0.5.
+	if hi := camp.Stats.Ext.Max[0]; hi > 0.5 {
+		t.Fatalf("failed sample leaked into statistics: max %g", hi)
 	}
 }
 
+// TestEnsembleAllFailures: a shard whose every evaluation failed is an
+// error, as a campaign's is (TestCampaignAllFailuresErrors). The count
+// starts at the shard's first index, so a later shard fails on its own.
 func TestEnsembleAllFailures(t *testing.T) {
-	dists := []Dist{Uniform{0.9, 1}}
-	_, err := RunEnsemble(SingleFactory(&failingModel{failAbove: 0.1}), dists,
-		PseudoRandom{D: 1, Seed: 3}, EnsembleOptions{Samples: 10})
-	if err == nil {
-		t.Error("fully failed ensemble should error")
+	plan, err := PlanShards(16, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunShard(context.Background(), SingleFactory(&failingModel{failAbove: -1}), []Dist{unitLaw{}},
+		PseudoRandom{D: 1, Seed: 3}, plan, 1, ShardOptions{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "every shard 1 evaluation failed") {
+		t.Errorf("fully failed shard: got %v, want an every-evaluation-failed error", err)
 	}
 }
 
 func TestEnsembleDimensionChecks(t *testing.T) {
-	dists := []Dist{Uniform{0, 1}, Uniform{0, 1}}
-	_, err := RunEnsemble(SingleFactory(&failingModel{}), dists,
-		PseudoRandom{D: 2, Seed: 3}, EnsembleOptions{Samples: 4})
-	if err == nil {
+	run := func(model Model, dists []Dist, d, m int) error {
+		_, err := RunCampaign(context.Background(), SingleFactory(model), dists,
+			PseudoRandom{D: d, Seed: 3}, CampaignOptions{MaxSamples: m})
+		return err
+	}
+	dists := []Dist{unitLaw{}, unitLaw{}}
+	if run(&failingModel{}, dists, 2, 4) == nil {
 		t.Error("model/dists dimension mismatch accepted")
 	}
-	_, err = RunEnsemble(SingleFactory(&failingModel{failAbove: 2}), dists[:1],
-		PseudoRandom{D: 2, Seed: 3}, EnsembleOptions{Samples: 4})
-	if err == nil {
+	if run(&failingModel{failAbove: 2}, dists[:1], 2, 4) == nil {
 		t.Error("sampler/dists dimension mismatch accepted")
 	}
-	_, err = RunEnsemble(SingleFactory(&failingModel{failAbove: 2}), dists[:1],
-		PseudoRandom{D: 1, Seed: 3}, EnsembleOptions{Samples: 0})
-	if err == nil {
+	if run(&failingModel{failAbove: 2}, dists[:1], 1, 0) == nil {
 		t.Error("zero samples accepted")
 	}
 }
 
 func TestMeanStdAllMatchScalarAccessors(t *testing.T) {
-	dists := []Dist{Normal{2, 0.5}}
-	model := &failingModel{failAbove: math.Inf(1)}
-	ens, err := RunEnsemble(SingleFactory(model), dists,
-		PseudoRandom{D: 1, Seed: 9}, EnsembleOptions{Samples: 300})
-	if err != nil {
-		t.Fatal(err)
+	camp := runCampaign(t, &failingModel{failAbove: math.Inf(1)}, []Dist{Normal{2, 0.5}}, PseudoRandom{D: 1, Seed: 9}, 300, 0)
+	means, stds := camp.MeanAll(), camp.StdAll()
+	if means[0] != camp.Stats.Moments.Mean[0] {
+		t.Error("MeanAll disagrees with the running mean")
 	}
-	means := ens.MeanAll()
-	stds := ens.StdAll()
-	if math.Abs(means[0]-ens.Mean(0)) > 1e-12 {
-		t.Error("MeanAll disagrees with Mean")
-	}
-	if math.Abs(stds[0]-ens.StdDev(0)) > 1e-12 {
-		t.Error("StdAll disagrees with StdDev")
+	if stds[0] != math.Sqrt(camp.Stats.Moments.Variance(0)) {
+		t.Error("StdAll disagrees with the running variance")
 	}
 }
 

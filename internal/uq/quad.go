@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Rule1D is a one-dimensional quadrature rule in the standard space of a
-// distribution family: nodes and weights such that Σ w_i f(x_i) ≈ E[f(X)].
+// Rule1D is a one-dimensional quadrature rule in standard-normal space:
+// nodes and weights such that Σ w_i f(x_i) ≈ E[f(Z)], Z ~ N(0,1).
 type Rule1D struct {
 	Nodes, Weights []float64
 }
@@ -90,76 +90,21 @@ func factorial(n int) float64 {
 	return f
 }
 
-// GaussLegendre returns the n-point Gauss–Legendre rule rescaled to the unit
-// interval with uniform weight: Σ w_i f(u_i) ≈ ∫₀¹ f(u) du. Used for
-// collocation in the u-space of non-normal distributions.
-func GaussLegendre(n int) (Rule1D, error) {
-	if n < 1 || n > 64 {
-		return Rule1D{}, fmt.Errorf("uq: Gauss–Legendre order %d outside 1..64", n)
-	}
-	r := Rule1D{Nodes: make([]float64, n), Weights: make([]float64, n)}
-	for i := 0; i < (n+1)/2; i++ {
-		// Chebyshev initial guess on [-1,1].
-		x := math.Cos(math.Pi * (float64(i) + 0.75) / (float64(n) + 0.5))
-		var dp float64
-		for iter := 0; iter < 100; iter++ {
-			p, d := legendre(n, x)
-			dx := p / d
-			x -= dx
-			dp = d
-			if math.Abs(dx) < 1e-15 {
-				break
-			}
-		}
-		w := 2 / ((1 - x*x) * dp * dp)
-		// Map [-1,1] → [0,1].
-		r.Nodes[i] = 0.5 * (1 - x) // descending cosine gives ascending order
-		r.Nodes[n-1-i] = 0.5 * (1 + x)
-		r.Weights[i] = 0.5 * w
-		r.Weights[n-1-i] = 0.5 * w
-	}
-	if n%2 == 1 {
-		r.Nodes[n/2] = 0.5
-	}
-	return r, nil
-}
-
-// legendre evaluates P_n and P'_n at x.
-func legendre(n int, x float64) (p, dp float64) {
-	if n == 0 {
-		return 1, 0
-	}
-	p0, p1 := 1.0, x
-	for k := 2; k <= n; k++ {
-		p0, p1 = p1, ((2*float64(k)-1)*x*p1-(float64(k)-1)*p0)/float64(k)
-	}
-	return p1, float64(n) * (x*p1 - p0) / (x*x - 1)
-}
-
-// RuleFor returns the n-point collocation rule for dist together with the
-// mapping of rule nodes to parameter values: Gauss–Hermite in standard-normal
-// space for (truncated) normals, Gauss–Legendre in u-space otherwise.
+// RuleFor returns the n-point Gauss–Hermite collocation rule for a normal
+// law together with the rule nodes mapped to parameter values. Every input
+// law of this code is normal; any other law is an error.
 func RuleFor(dist Dist, n int) (Rule1D, []float64, error) {
-	switch d := dist.(type) {
-	case Normal:
-		r, err := GaussHermite(n)
-		if err != nil {
-			return Rule1D{}, nil, err
-		}
-		params := make([]float64, n)
-		for i, x := range r.Nodes {
-			params[i] = d.Mu + d.Sigma*x
-		}
-		return r, params, nil
-	default:
-		r, err := GaussLegendre(n)
-		if err != nil {
-			return Rule1D{}, nil, err
-		}
-		params := make([]float64, n)
-		for i, u := range r.Nodes {
-			params[i] = dist.Quantile(u)
-		}
-		return r, params, nil
+	d, ok := dist.(Normal)
+	if !ok {
+		return Rule1D{}, nil, fmt.Errorf("uq: collocation needs a normal law, got %T", dist)
 	}
+	r, err := GaussHermite(n)
+	if err != nil {
+		return Rule1D{}, nil, err
+	}
+	params := make([]float64, n)
+	for i, x := range r.Nodes {
+		params[i] = d.Mu + d.Sigma*x
+	}
+	return r, params, nil
 }

@@ -121,7 +121,7 @@ func TestShardedCampaignInvariantAcrossK(t *testing.T) {
 }
 
 func TestShardedCampaignInvariantWithFailures(t *testing.T) {
-	dists := []Dist{Uniform{0, 1}}
+	dists := []Dist{unitLaw{}}
 	run := func(k int) (*CampaignResult, string) {
 		plan, err := PlanShards(500, k, 8)
 		if err != nil {

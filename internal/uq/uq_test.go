@@ -21,58 +21,6 @@ func TestNormalQuantileCDFRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNormalPDFIntegratesToOne(t *testing.T) {
-	n := Normal{Mu: 1, Sigma: 2}
-	sum := 0.0
-	const h = 1e-3
-	for x := -20.0; x < 22; x += h {
-		sum += n.PDF(x) * h
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("∫pdf = %g", sum)
-	}
-}
-
-func TestTruncatedNormal(t *testing.T) {
-	tr := TruncatedNormal{Mu: 0.17, Sigma: 0.048, Lo: 0, Hi: 0.9}
-	if x := tr.Quantile(0.0001); x < 0 {
-		t.Errorf("truncated draw %g below support", x)
-	}
-	if x := tr.Quantile(0.9999); x > 0.9 {
-		t.Errorf("truncated draw %g above support", x)
-	}
-	// Mild truncation barely changes the moments.
-	if math.Abs(tr.Mean()-0.17) > 1e-4 {
-		t.Errorf("truncated mean %g", tr.Mean())
-	}
-	if math.Abs(tr.StdDev()-0.048) > 1e-3 {
-		t.Errorf("truncated std %g", tr.StdDev())
-	}
-	// CDF/Quantile round trip.
-	for _, u := range []float64{0.01, 0.3, 0.7, 0.99} {
-		if got := tr.CDF(tr.Quantile(u)); math.Abs(got-u) > 1e-10 {
-			t.Errorf("round trip at %g: %g", u, got)
-		}
-	}
-}
-
-func TestUniformAndLogNormal(t *testing.T) {
-	u := Uniform{Lo: 2, Hi: 6}
-	if u.Mean() != 4 || math.Abs(u.StdDev()-4/math.Sqrt(12)) > 1e-15 {
-		t.Error("uniform moments wrong")
-	}
-	if u.Quantile(0.25) != 3 {
-		t.Error("uniform quantile wrong")
-	}
-	l := LogNormal{MuLog: 0, SigmaLog: 0.5}
-	if math.Abs(l.Mean()-math.Exp(0.125)) > 1e-12 {
-		t.Error("lognormal mean wrong")
-	}
-	if got := l.CDF(l.Quantile(0.37)); math.Abs(got-0.37) > 1e-12 {
-		t.Error("lognormal round trip failed")
-	}
-}
-
 func TestGaussHermiteExactness(t *testing.T) {
 	// n-point Gauss–Hermite integrates monomials up to degree 2n−1 exactly
 	// against N(0,1); E[Z^k] = (k−1)!! for even k, 0 for odd.
@@ -109,25 +57,6 @@ func TestGaussHermiteExactness(t *testing.T) {
 			tol := 1e-10 * (1 + doubleFact(k+1))
 			if math.Abs(got-want) > tol {
 				t.Fatalf("n=%d: E[Z^%d] = %g, want %g", n, k, got, want)
-			}
-		}
-	}
-}
-
-func TestGaussLegendreExactness(t *testing.T) {
-	for n := 1; n <= 12; n++ {
-		r, err := GaussLegendre(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k <= 2*n-1; k++ {
-			got := 0.0
-			for i := range r.Nodes {
-				got += r.Weights[i] * math.Pow(r.Nodes[i], float64(k))
-			}
-			want := 1 / float64(k+1) // ∫₀¹ u^k du
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("n=%d: ∫u^%d = %g, want %g", n, k, got, want)
 			}
 		}
 	}
@@ -294,23 +223,33 @@ func (m *polyModel) Eval(p, out []float64) error {
 	return nil
 }
 
+// runCampaign runs a budget-m campaign on workers workers and fails the
+// test on error.
+func runCampaign(t *testing.T, model Model, dists []Dist, s Sampler, m, workers int) *CampaignResult {
+	t.Helper()
+	camp, err := RunCampaign(context.Background(), SingleFactory(model), dists, s,
+		CampaignOptions{MaxSamples: m, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp
+}
+
 func TestEnsembleLinearModelStatistics(t *testing.T) {
 	// f = 2x₀ + 3x₁ with independent normals: exact mean and variance known.
 	dists := []Dist{Normal{1, 0.5}, Normal{-2, 0.25}}
 	model := &polyModel{c: []float64{2, 3}}
-	ens, err := RunEnsemble(SingleFactory(model), dists, PseudoRandom{D: 2, Seed: 4}, EnsembleOptions{Samples: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := runCampaign(t, model, dists, PseudoRandom{D: 2, Seed: 4}, 20000, 0)
 	wantMean := 2.0*1 + 3.0*(-2)
 	wantStd := math.Sqrt(4*0.25 + 9*0.0625)
-	if math.Abs(ens.Mean(0)-wantMean) > 0.03 {
-		t.Errorf("mean %g, want %g", ens.Mean(0), wantMean)
+	mean, std := camp.MeanAll()[0], camp.StdAll()[0]
+	if math.Abs(mean-wantMean) > 0.03 {
+		t.Errorf("mean %g, want %g", mean, wantMean)
 	}
-	if math.Abs(ens.StdDev(0)-wantStd) > 0.03 {
-		t.Errorf("std %g, want %g", ens.StdDev(0), wantStd)
+	if math.Abs(std-wantStd) > 0.03 {
+		t.Errorf("std %g, want %g", std, wantStd)
 	}
-	if math.Abs(ens.MCError(0)-ens.StdDev(0)/math.Sqrt(20000)) > 1e-12 {
+	if math.Abs(camp.Stats.Moments.MaxSE()-std/math.Sqrt(20000)) > 1e-12 {
 		t.Error("MC error estimator inconsistent with eq. (6)")
 	}
 }
@@ -319,15 +258,11 @@ func TestEnsembleWorkerCountInvariance(t *testing.T) {
 	dists := []Dist{Normal{0, 1}, Normal{0, 1}, Normal{0, 1}}
 	model := &polyModel{c: []float64{1, 2, 3}, q: 0.5}
 	run := func(workers int) []float64 {
-		ens, err := RunEnsemble(SingleFactory(model), dists, PseudoRandom{D: 3, Seed: 11},
-			EnsembleOptions{Samples: 500, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []float64{ens.Mean(0), ens.StdDev(0)}
+		camp := runCampaign(t, model, dists, PseudoRandom{D: 3, Seed: 11}, 500, workers)
+		return []float64{camp.MeanAll()[0], camp.StdAll()[0]}
 	}
-	// Note: SingleFactory shares the (stateless) model; outputs are stored
-	// per index so the statistics are exactly order independent.
+	// Note: SingleFactory shares the (stateless) model; the campaign folds
+	// in sample order, so the statistics are exactly order independent.
 	a := run(1)
 	b := run(4)
 	if a[0] != b[0] || a[1] != b[1] {
@@ -337,7 +272,7 @@ func TestEnsembleWorkerCountInvariance(t *testing.T) {
 
 func TestQMCBeatsMCOnSmoothModel(t *testing.T) {
 	// Integration error of Sobol' QMC should be well below MC at equal M.
-	dists := []Dist{Uniform{0, 1}, Uniform{0, 1}, Uniform{0, 1}}
+	dists := []Dist{unitLaw{}, unitLaw{}, unitLaw{}}
 	model := &polyModel{c: []float64{1, 1, 1}}
 	exact := 1.5
 	const m = 4096
@@ -346,11 +281,7 @@ func TestQMCBeatsMCOnSmoothModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(s Sampler) float64 {
-		ens, err := RunEnsemble(SingleFactory(model), dists, s, EnsembleOptions{Samples: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(ens.Mean(0) - exact)
+		return math.Abs(runCampaign(t, model, dists, s, m, 0).MeanAll()[0] - exact)
 	}
 	errMC := run(PseudoRandom{D: 3, Seed: 5})
 	errQMC := run(sob)
@@ -387,6 +318,24 @@ func TestTensorCollocationExactForPolynomial(t *testing.T) {
 	}
 }
 
+// TestCollocationRejectsNonNormalLaw: the collocation rules are
+// Gauss–Hermite only, so both the tensor and the sparse grid refuse any
+// other input law instead of integrating against the wrong weight.
+func TestCollocationRejectsNonNormalLaw(t *testing.T) {
+	model := &polyModel{c: []float64{1, 2}}
+	for name, dists := range map[string][]Dist{
+		"all non-normal": {unitLaw{}, unitLaw{}},
+		"one non-normal": {Normal{0, 1}, unitLaw{}},
+	} {
+		if _, err := TensorCollocation(SingleFactory(model), dists, 3); err == nil {
+			t.Errorf("%s: TensorCollocation accepted a non-normal law", name)
+		}
+		if _, err := SmolyakDesign(dists, 2); err == nil {
+			t.Errorf("%s: SmolyakDesign accepted a non-normal law", name)
+		}
+	}
+}
+
 func TestSmolyakMatchesTensorOnSmoothModel(t *testing.T) {
 	dists := []Dist{Normal{0.17, 0.048}, Normal{0.17, 0.048}, Normal{0.17, 0.048}}
 	model := &polyModel{c: []float64{1, 2, 3}, q: 1.5}
@@ -420,11 +369,19 @@ func TestSmolyakMatchesTensorOnSmoothModel(t *testing.T) {
 func TestPCERecoverLinearModel(t *testing.T) {
 	dists := []Dist{Normal{1, 0.5}, Normal{-2, 0.25}}
 	model := &polyModel{c: []float64{2, 3}}
-	ens, err := RunEnsemble(SingleFactory(model), dists, PseudoRandom{D: 2, Seed: 21}, EnsembleOptions{Samples: 200})
-	if err != nil {
-		t.Fatal(err)
+	// Training data: sampler points through the laws, as a campaign
+	// evaluates them.
+	s := PseudoRandom{D: 2, Seed: 21}
+	params, outputs := make([][]float64, 200), make([][]float64, 200)
+	for i := range params {
+		params[i], outputs[i] = make([]float64, 2), make([]float64, 1)
+		s.Sample(i, params[i])
+		TransformPoint(dists, params[i], params[i])
+		if err := model.Eval(params[i], outputs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pce, err := FitPCE(dists, ens.Params, ens.Outputs, 2)
+	pce, err := FitPCE(dists, params, outputs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
