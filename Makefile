@@ -89,8 +89,11 @@ bench-test:
 # Carlo, Sobol' and Smolyak scenarios, ~30 s on 2 cores) and the campaign
 # paths the suite leaves out (adaptive stop, checkpoint, shards, and the
 # LHS, Halton, scrambled Sobol' and RQMC samplers; ~10 s on 2 cores).
-# CI's verify job runs it.
+# It starts from an empty out/cli-smoke: the checkpointed campaign would
+# otherwise resume a checkpoint an older build wrote there and report that
+# build's numbers. CI's verify job runs it.
 cli-smoke:
+	rm -rf out/cli-smoke
 	$(GO) run ./cmd/figures -samples 4 -out out/cli-smoke/figures
 	$(GO) run ./cmd/etbatch -bundled -out out/cli-smoke/etbatch.json
 	$(GO) run ./cmd/etbatch -f examples/scenarios/campaign_paths.json -out out/cli-smoke/campaign_paths.json

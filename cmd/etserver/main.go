@@ -99,7 +99,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxJobs      = flag.Int("max-jobs", 2, "batch jobs evaluated concurrently")
-		history      = flag.Int("history", server.DefaultMaxHistory, "finished jobs retained before oldest-first eviction")
+		history      = flag.Int("history", server.DefaultMaxHistory, "finished jobs retained before oldest-first eviction (batch and fleet jobs each up to this cap)")
 		leaseTTL     = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "shard lease TTL before a silent etworker is presumed dead")
 		fleetBatches = flag.Bool("fleet-batches", false, "run sharded scenarios of batch jobs on the etworker fleet instead of locally")
 		dataDir      = flag.String("data", "", "persist jobs, leases and shard results under this directory (empty = in-memory)")

@@ -3,8 +3,9 @@
 // the engine packages refer to its types by alias, so no request or
 // result is converted on the way in or out. What remains here:
 //
-//   - DecodeStrict and DecodeRequest decode request bodies with unknown
-//     fields rejected, so a typo fails loudly instead of being dropped.
+//   - ReadBody reads a JSON request body under a size limit, and
+//     DecodeStrict and DecodeRequest decode it with unknown fields
+//     rejected, so a typo fails loudly instead of being dropped.
 //   - Strict carries the one type pair that is not shared: a shard
 //     result, whose accumulator blocks are typed in uq but raw JSON on
 //     the wire. Float payloads survive its round trip bit-exactly (Go's
@@ -26,6 +27,28 @@ import (
 	"etherm/internal/scenario"
 	"etherm/internal/uq"
 )
+
+// ReadBody reads the JSON body of r, at most limit bytes of it. It writes
+// the problem+json error itself and returns false when the body cannot be
+// read or is not well-formed JSON (400 invalid-body) or exceeds limit
+// (413 body-too-large, naming what the body holds).
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err == nil && int64(len(body)) > limit {
+		api.WriteError(w, r, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeTooLarge,
+			"%s exceeds the %d-byte limit", what, limit))
+		return nil, false
+	}
+	if err == nil && !json.Valid(body) {
+		var v any
+		err = json.Unmarshal(body, &v) // the syntax error, for the problem detail
+	}
+	if err != nil {
+		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
+		return nil, false
+	}
+	return body, true
+}
 
 // DecodeStrict decodes the one JSON value in data into v, rejecting
 // fields that v does not declare and trailing data.

@@ -96,6 +96,11 @@ type Coordinator struct {
 	// OnLeaseExpiry, when set before serving, observes every lease the
 	// coordinator reclaims from a silent worker (metrics hook).
 	OnLeaseExpiry func()
+	// OnEvent, when set before serving, receives each job's progress as
+	// SSE-ready events: a "shards" event per accepted shard and one
+	// terminal "status" event. It runs under the coordinator lock, so it
+	// must not call back into the coordinator.
+	OnEvent func(api.JobEvent)
 
 	cache *scenario.AssemblyCache
 	ttl   time.Duration
@@ -244,7 +249,7 @@ func (c *Coordinator) Lease(workerID string) (*api.FleetLease, bool) {
 			if sh.attempts >= c.MaxAttempts {
 				// Every granted lease died or failed: the job cannot make
 				// progress, so fail it instead of leasing forever.
-				c.failLocked(j, fmt.Sprintf("shard %d exhausted %d lease attempts", sh.shard, sh.attempts))
+				c.finishLocked(j, JobFailed, fmt.Sprintf("shard %d exhausted %d lease attempts", sh.shard, sh.attempts))
 				break
 			}
 			c.lseq++
@@ -263,10 +268,14 @@ func (c *Coordinator) Lease(workerID string) (*api.FleetLease, bool) {
 	return nil, false
 }
 
-// findLease resolves a live lease. Caller holds c.mu.
+// findLeaseLocked resolves a live lease of a running job. Caller holds
+// c.mu.
 func (c *Coordinator) findLeaseLocked(leaseID string) (*job, *shardState) {
 	for _, id := range c.order {
 		j := c.jobs[id]
+		if j.status != JobRunning {
+			continue
+		}
 		for _, sh := range j.shards {
 			if sh.leaseID == leaseID && sh.status == api.ShardLeased {
 				return j, sh
@@ -319,14 +328,9 @@ func (c *Coordinator) Complete(leaseID string, res *uq.ShardResult) error {
 	// between the two recovers a done shard whose payload exists.
 	c.persistShardLocked(j, sh)
 	c.persistLocked(j)
-	remaining := 0
-	for _, s := range j.shards {
-		if s.status != api.ShardDone {
-			remaining++
-		}
-	}
+	ev := c.emitLocked(j, api.EventShards)
 	c.mu.Unlock()
-	if remaining > 0 {
+	if ev.ShardsDone < ev.ShardsTotal {
 		return nil
 	}
 	return c.finalize(j)
@@ -346,23 +350,55 @@ func (c *Coordinator) Fail(leaseID, msg string) error {
 	sh.worker = ""
 	sh.leaseID = ""
 	if sh.attempts >= c.MaxAttempts {
-		c.failLocked(j, fmt.Sprintf("shard %d failed %d times; last error: %s", sh.shard, sh.attempts, msg))
+		c.finishLocked(j, JobFailed, fmt.Sprintf("shard %d failed %d times; last error: %s", sh.shard, sh.attempts, msg))
 	} else {
 		c.persistLocked(j)
 	}
 	return nil
 }
 
-// failLocked moves a job to its terminal failed state. Caller holds c.mu.
-func (c *Coordinator) failLocked(j *job, msg string) {
+// finishLocked is the one terminal transition of a running job: live
+// leases are invalidated (workers see ErrLeaseLost on their next
+// heartbeat or post and abandon the shard), the per-shard payloads are
+// released, the terminal record is written, the shard payload records
+// are deleted, waiters wake and OnEvent gets the terminal status. Record
+// first, payload deletes after: a crash between the two leaves orphan
+// payloads that the next eviction sweeps, never a done job without its
+// result. Caller holds c.mu.
+func (c *Coordinator) finishLocked(j *job, status, msg string) {
 	if j.status != JobRunning {
 		return
 	}
-	j.status = JobFailed
+	for _, sh := range j.shards {
+		if sh.status == api.ShardLeased {
+			sh.status = api.ShardPending
+			sh.worker = ""
+			sh.leaseID = ""
+		}
+		sh.result = nil
+	}
+	j.status = status
 	j.err = msg
 	c.persistLocked(j)
 	c.dropShardsLocked(j)
 	close(j.done)
+	c.emitLocked(j, api.EventStatus)
+}
+
+// emitLocked fires OnEvent with the job's status and shard progress and
+// returns the event. Caller holds c.mu.
+func (c *Coordinator) emitLocked(j *job, typ api.EventType) api.JobEvent {
+	ev := api.JobEvent{Type: typ, JobID: j.id, Status: api.JobStatus(j.status),
+		ShardsTotal: len(j.shards), Error: j.err}
+	for _, sh := range j.shards {
+		if sh.status == api.ShardDone {
+			ev.ShardsDone++
+		}
+	}
+	if c.OnEvent != nil {
+		c.OnEvent(ev)
+	}
+	return ev
 }
 
 // finalize merges the completed shards and builds the ScenarioResult. Runs
@@ -382,22 +418,14 @@ func (c *Coordinator) finalize(j *job) error {
 		return nil
 	}
 	if err != nil {
-		c.failLocked(j, fmt.Sprintf("merge failed: %v", err))
+		c.finishLocked(j, JobFailed, fmt.Sprintf("merge failed: %v", err))
 		return fmt.Errorf("fleet: job %s: %v", j.id, err)
 	}
+	// The per-shard payloads are folded into the result now; finishLocked
+	// releases them, so a retained terminal job costs one result, not K
+	// block lists.
 	j.result = res
-	j.status = JobDone
-	// The per-shard payloads are folded into the result now; release them
-	// so a retained terminal job costs one result, not K block lists.
-	for _, sh := range j.shards {
-		sh.result = nil
-	}
-	// Terminal record first, shard-payload deletes after: a crash between
-	// the two leaves orphan payloads that the next eviction sweeps, never a
-	// done job without its result.
-	c.persistLocked(j)
-	c.dropShardsLocked(j)
-	close(j.done)
+	c.finishLocked(j, JobDone, "")
 	return nil
 }
 
@@ -415,19 +443,7 @@ func (c *Coordinator) Cancel(id string) error {
 	if terminal(j.status) {
 		return fmt.Errorf("fleet: job %s already %s", id, j.status)
 	}
-	for _, sh := range j.shards {
-		if sh.status == api.ShardLeased {
-			sh.status = api.ShardPending
-			sh.worker = ""
-			sh.leaseID = ""
-		}
-		sh.result = nil
-	}
-	j.status = JobCanceled
-	j.err = "canceled by client"
-	c.persistLocked(j)
-	c.dropShardsLocked(j)
-	close(j.done)
+	c.finishLocked(j, JobCanceled, "canceled by client")
 	return nil
 }
 

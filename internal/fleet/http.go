@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"etherm/api"
@@ -14,26 +13,10 @@ import (
 // O(blocks × outputs) accumulator state, far below this).
 const maxBodyBytes = 64 << 20
 
-// readBody reads a request body, writing the problem+json error itself
-// when the body is unreadable or oversized.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
-		return nil, false
-	}
-	if len(body) > maxBodyBytes {
-		api.WriteError(w, r, api.NewError(http.StatusRequestEntityTooLarge, api.CodeTooLarge,
-			"request body exceeds the size limit"))
-		return nil, false
-	}
-	return body, true
-}
-
 // readJSON decodes a worker request body into v, writing the problem+json
 // error itself when the body is oversized or malformed.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, ok := readBody(w, r)
+	body, ok := apiconv.ReadBody(w, r, maxBodyBytes, "request body")
 	if !ok {
 		return false
 	}
@@ -73,7 +56,7 @@ func (c *Coordinator) Register(mux *http.ServeMux, prefix string) {
 // and a job the store failed to persist is a 503 degraded, as on
 // POST /v1/jobs.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := apiconv.ReadBody(w, r, maxBodyBytes, "request body")
 	if !ok {
 		return
 	}

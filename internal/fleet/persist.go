@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
 
@@ -52,12 +51,12 @@ type shardRecord struct {
 // SetStore attaches a persistent store and restores the coordinator's
 // state from it. Call once, before the coordinator serves requests; logf
 // (optional) receives recovery notes and store-write failures.
-func (c *Coordinator) SetStore(st jobstore.Store, logf func(format string, args ...any)) error {
+func (c *Coordinator) SetStore(st jobstore.Store, logf func(format string, args ...any)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = st
 	c.logf = logf
-	return c.loadLocked(st.State())
+	c.loadLocked(st.State())
 }
 
 // storeLogf reports a persistence problem (best-effort logging).
@@ -144,17 +143,26 @@ func (c *Coordinator) dropJobLocked(j *job) {
 	}
 }
 
-// loadLocked rebuilds the coordinator from recovered store state. Caller
-// holds c.mu.
-func (c *Coordinator) loadLocked(st *jobstore.State) error {
+// loadLocked rebuilds the coordinator from recovered store state. An
+// unreadable job record is dropped with its shard payloads, as the
+// server drops unreadable job and surrogate records; an unreadable
+// payload re-leases its shard. Caller holds c.mu.
+func (c *Coordinator) loadLocked(st *jobstore.State) {
 	c.seq = max(c.seq, st.Counters.Fleet)
 	c.lseq = max(c.lseq, st.Counters.Lease)
 
 	var merged []*job
 	for id, data := range st.Kinds[jobstore.KindFleet] {
 		var rec fleetRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("fleet: recover %s: %w", id, err)
+		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != id || rec.Plan == nil {
+			c.storeLogf("fleet: dropping unreadable fleet record %s: %v", id, err)
+			_ = c.store.Delete(jobstore.KindFleet, id, jobstore.Counters{})
+			for key := range st.Kinds[jobstore.KindShard] {
+				if jobID, _, ok := jobstore.ParseShardID(key); ok && jobID == id {
+					_ = c.store.Delete(jobstore.KindShard, key, jobstore.Counters{})
+				}
+			}
+			continue
 		}
 		j := &job{
 			id: rec.ID, scen: rec.Scenario, plan: rec.Plan,
@@ -179,19 +187,17 @@ func (c *Coordinator) loadLocked(st *jobstore.State) error {
 					continue
 				}
 				payload, ok := st.Get(jobstore.KindShard, jobstore.ShardID(j.id, sh.shard))
-				if !ok {
-					// Payload lost (should not happen: it is written first).
-					// Re-lease the shard rather than fail the job.
-					c.storeLogf("fleet: recover %s: shard %d marked done without payload, re-leasing", j.id, sh.shard)
+				res := new(uq.ShardResult)
+				if !ok || json.Unmarshal(payload, res) != nil {
+					// Payload lost (should not happen: it is written first)
+					// or unreadable. Re-lease the shard rather than fail the
+					// job.
+					c.storeLogf("fleet: recover %s: shard %d marked done but its payload is missing or unreadable, re-leasing", j.id, sh.shard)
 					sh.status = api.ShardPending
 					sh.worker = ""
 					sh.leaseID = ""
 					needMerge = false
 					continue
-				}
-				res := new(uq.ShardResult)
-				if err := json.Unmarshal(payload, res); err != nil {
-					return fmt.Errorf("fleet: recover shard %s/%d: %w", j.id, sh.shard, err)
 				}
 				sh.result = res
 			}
@@ -222,5 +228,4 @@ func (c *Coordinator) loadLocked(st *jobstore.State) error {
 			}
 		}()
 	}
-	return nil
 }

@@ -49,12 +49,6 @@ type Event struct {
 type Engine struct {
 	cache *AssemblyCache
 
-	// Workers bounds scenario-level parallelism; 0 picks a split that
-	// leaves headroom for per-scenario ensemble workers.
-	Workers int
-	// SampleWorkers bounds the ensemble parallelism inside each scenario;
-	// 0 divides the remaining CPUs among the scenario workers.
-	SampleWorkers int
 	// OnEvent, when non-nil, receives progress events. It is called from
 	// worker goroutines concurrently and must be safe for parallel use.
 	OnEvent func(Event)
@@ -84,14 +78,12 @@ func NewEngineWithCache(c *AssemblyCache) *Engine {
 // Cache exposes the engine's assembly cache (for hit/miss reporting).
 func (e *Engine) Cache() *AssemblyCache { return e.cache }
 
-// split resolves the worker counts for a batch of n scenarios: batch
-// overrides beat engine defaults, and the automatic split gives scenario
-// parallelism priority while granting ensembles the leftover CPUs.
+// split resolves the worker counts for a batch of n scenarios from the
+// batch's workers and sample_workers: the automatic split (0) gives
+// scenario parallelism priority while granting ensembles the leftover
+// CPUs.
 func (e *Engine) split(b *Batch, n int) (workers, sampleWorkers int) {
-	workers = e.Workers
-	if b.Workers > 0 {
-		workers = b.Workers
-	}
+	workers = b.Workers
 	cpus := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
 		workers = min(n, cpus)
@@ -100,10 +92,7 @@ func (e *Engine) split(b *Batch, n int) (workers, sampleWorkers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	sampleWorkers = e.SampleWorkers
-	if b.SampleWorkers > 0 {
-		sampleWorkers = b.SampleWorkers
-	}
+	sampleWorkers = b.SampleWorkers
 	if sampleWorkers <= 0 {
 		sampleWorkers = max(1, cpus/workers)
 	}

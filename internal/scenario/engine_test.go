@@ -69,10 +69,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("coupled-field batch is seconds-scale")
 	}
 	run := func(workers, sampleWorkers int) string {
-		e := NewEngine()
-		e.Workers = workers
-		e.SampleWorkers = sampleWorkers
-		res, err := e.Run(context.Background(), testBatch())
+		b := testBatch()
+		b.Workers, b.SampleWorkers = workers, sampleWorkers
+		res, err := NewEngine().Run(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +96,6 @@ func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
 		t.Skip("coupled-field batch is seconds-scale")
 	}
 	e := NewEngine()
-	e.Workers = 2
-	e.SampleWorkers = 1
 	secondDone := make(chan struct{})
 	e.OnEvent = func(ev Event) {
 		switch {
@@ -112,7 +109,7 @@ func TestEngineCacheHitFollowsIndexOrder(t *testing.T) {
 			close(secondDone)
 		}
 	}
-	b := &Batch{Scenarios: []Scenario{
+	b := &Batch{Workers: 2, SampleWorkers: 1, Scenarios: []Scenario{
 		{Name: "first", Chip: ChipSpec{HMaxM: testHMax}, Sim: fastSim},
 		{Name: "second", Chip: ChipSpec{HMaxM: testHMax, DriveScale: 0.9}, Sim: fastSim},
 	}}
@@ -309,13 +306,13 @@ func TestEngineEvents(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[EventPhase]int{}
 	e := NewEngine()
-	e.Workers = 2
 	e.OnEvent = func(ev Event) {
 		mu.Lock()
 		counts[ev.Phase]++
 		mu.Unlock()
 	}
 	b := testBatch()
+	b.Workers = 2
 	if _, err := e.Run(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,6 @@ func TestEngineRareSubsetScenario(t *testing.T) {
 	var mu sync.Mutex
 	var levels []Event
 	e := NewEngine()
-	e.SampleWorkers = 4
 	e.OnEvent = func(ev Event) {
 		if ev.Phase == PhaseLevel {
 			mu.Lock()
@@ -87,7 +86,7 @@ func TestEngineRareSubsetScenario(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	res, err := e.Run(context.Background(), &Batch{Scenarios: []Scenario{rareScenario(tCrit)}})
+	res, err := e.Run(context.Background(), &Batch{SampleWorkers: 4, Scenarios: []Scenario{rareScenario(tCrit)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +148,7 @@ func TestEngineRareSubsetBitIdentical(t *testing.T) {
 	}
 	tCrit := calibrateTCrit(t)
 	run := func(sampleWorkers int) string {
-		e := NewEngine()
-		e.SampleWorkers = sampleWorkers
-		res, err := e.Run(context.Background(), &Batch{Scenarios: []Scenario{rareScenario(tCrit)}})
+		res, err := NewEngine().Run(context.Background(), &Batch{SampleWorkers: sampleWorkers, Scenarios: []Scenario{rareScenario(tCrit)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +173,7 @@ func TestEngineRareImportanceScenario(t *testing.T) {
 	// negative because on this chip shorter wires run hotter (the added
 	// conduction path of an elongated wire outweighs its extra resistance).
 	one := 1.0
-	b := &Batch{Scenarios: []Scenario{{
+	b := &Batch{SampleWorkers: 4, Scenarios: []Scenario{{
 		Name: "rare-is",
 		Chip: ChipSpec{HMaxM: testHMax},
 		Sim:  fastSim,
@@ -190,9 +187,7 @@ func TestEngineRareImportanceScenario(t *testing.T) {
 			CriticalK:    tCrit,
 		},
 	}}}
-	e := NewEngine()
-	e.SampleWorkers = 4
-	res, err := e.Run(context.Background(), b)
+	res, err := NewEngine().Run(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +222,7 @@ func TestEngineRarePanicFailsScenario(t *testing.T) {
 	subset := rareScenario(400)
 	importance := rareScenario(400)
 	importance.Name, importance.UQ.Estimator, importance.UQ.ISShift = "rare-is", EstimatorImportance, -2
-	e := NewEngine()
-	e.SampleWorkers = 2
-	res, err := e.Run(context.Background(), &Batch{Scenarios: []Scenario{subset, importance}})
+	res, err := NewEngine().Run(context.Background(), &Batch{SampleWorkers: 2, Scenarios: []Scenario{subset, importance}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,9 @@ func TestHubShutdownBroadcast(t *testing.T) {
 	}
 }
 
-// A fleet watcher (poll-driven, no queue for the broadcast to land in)
-// still receives the shutdown frame: the watch loop checks the draining
-// flag every tick.
+// A fleet watcher is a hub subscriber like a batch watcher, so the
+// drain's shutdown broadcast ends its stream with the same explicit
+// shutdown frame.
 func TestDrainEndsFleetWatchWithShutdownEvent(t *testing.T) {
 	srv := mustNew(t, Config{MaxConcurrent: 1})
 	_, cl := newTestServer(t, srv)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"etherm/api"
-	"etherm/internal/fleet"
 )
 
 // eventHub fans job progress events out to SSE subscribers. Publishing
@@ -23,9 +22,9 @@ type eventHub struct {
 	// watchers counts open SSE streams (batch and fleet watchers both),
 	// exposed via /metrics and /healthz.
 	watchers atomic.Int64
-	// draining flips when the server drains: fleet watch loops end their
-	// streams with a shutdown event at the next poll tick (batch watchers
-	// get theirs pushed through their queues).
+	// draining flips when the server drains, so a watcher that subscribes
+	// after the shutdown broadcast still ends its stream with a shutdown
+	// event.
 	draining atomic.Bool
 }
 
@@ -69,10 +68,9 @@ func (h *eventHub) unsubscribe(jobID string, sub *eventSub) {
 }
 
 // shutdown broadcasts the graceful-drain event to every open stream: each
-// batch subscriber gets an EventShutdown queued (the watch loop writes it
-// and ends the stream), and the draining flag makes fleet watch loops do
-// the same at their next poll. After shutdown, no SSE stream dangles into
-// the listener teardown — every watcher sees an explicit final frame.
+// subscriber, batch or fleet, gets an EventShutdown queued (the watch loop
+// writes it and ends the stream). After shutdown, no SSE stream dangles
+// into the listener teardown — every watcher sees an explicit final frame.
 func (h *eventHub) shutdown() {
 	h.draining.Store(true)
 	h.mu.Lock()
@@ -137,16 +135,15 @@ func (s *eventSub) drain() []api.JobEvent {
 // sseKeepalive is the idle comment interval of an event stream.
 const sseKeepalive = 15 * time.Second
 
-// fleetPollInterval is how often the SSE handler samples the coordinator
-// state of a fleet job (the pull-based fleet protocol has no push source).
-const fleetPollInterval = 150 * time.Millisecond
-
 // handleEvents serves GET /v1/jobs/{id}/events: a server-sent-event stream
 // of the job's progress (api.JobEvent frames) that opens with a status
 // snapshot and closes after the terminal status event. Batch jobs stream
 // live engine events (scenario completions, streaming-campaign sample
-// counts); fleet job IDs fall through to a coordinator watch emitting
-// shard progress.
+// counts); fleet job IDs stream the coordinator's shard progress. Both
+// arrive through the hub, so one subscribe → snapshot → loop serves
+// either kind. Subscribing before snapshotting closes the race with a job
+// finishing in between: the terminal transition is then either in the
+// snapshot or in the queue.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	flusher, ok := w.(http.Flusher)
@@ -155,56 +152,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			"response writer does not support streaming"))
 		return
 	}
-	if s.snapshot(id) != nil {
-		s.watchBatchJob(w, r, flusher, id)
-		return
-	}
-	if _, isFleet := s.coord.Job(id); isFleet {
-		s.watchFleetJob(w, r, flusher, id)
-		return
-	}
-	api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))
-}
-
-// sseHeaders switches the response into an event stream.
-func sseHeaders(w http.ResponseWriter) {
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no") // defeat buffering proxies
-	w.WriteHeader(http.StatusOK)
-}
-
-// writeEvent renders one SSE frame.
-func writeEvent(w http.ResponseWriter, flusher http.Flusher, ev api.JobEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-		return err
-	}
-	flusher.Flush()
-	return nil
-}
-
-// watchBatchJob subscribes to the hub and streams events until the job
-// terminates or the client goes away. Subscribing before snapshotting
-// closes the race with a job finishing in between: the terminal transition
-// is then either in the snapshot or in the queue.
-func (s *Server) watchBatchJob(w http.ResponseWriter, r *http.Request, flusher http.Flusher, id string) {
-	s.hub.watchers.Add(1)
-	defer s.hub.watchers.Add(-1)
 	sub := s.hub.subscribe(id)
 	defer s.hub.unsubscribe(id, sub)
-
-	j := s.snapshot(id)
-	if j == nil { // evicted between route and subscribe
+	snap, ok := s.statusSnapshot(id)
+	if !ok {
 		api.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such job %s", id))
 		return
 	}
+	s.hub.watchers.Add(1)
+	defer s.hub.watchers.Add(-1)
 	sseHeaders(w)
-	snap := statusEvent(j)
 	if err := writeEvent(w, flusher, snap); err != nil || snap.Terminal() {
 		return
 	}
@@ -242,70 +199,37 @@ func (s *Server) watchBatchJob(w http.ResponseWriter, r *http.Request, flusher h
 	}
 }
 
-// watchFleetJob polls the coordinator and emits shard-progress deltas as
-// events, closing with the terminal status. The fleet protocol is pull
-// based (workers poll leases), so a short poll here is the push adapter.
-// The events only need the view's counters, so no wire conversion happens
-// on the poll path; idle stretches carry keepalive comments like the
-// batch stream.
-func (s *Server) watchFleetJob(w http.ResponseWriter, r *http.Request, flusher http.Flusher, id string) {
-	s.hub.watchers.Add(1)
-	defer s.hub.watchers.Add(-1)
-	sseHeaders(w)
-	lastDone := -1
-	first := true
-	lastWrite := time.Now()
-	ticker := time.NewTicker(fleetPollInterval)
-	defer ticker.Stop()
-	for {
-		// The fleet stream is poll-driven, so the drain broadcast cannot
-		// reach it through a queue; the flag check at each tick ends the
-		// stream with the same explicit shutdown frame batch watchers get.
-		if s.hub.draining.Load() {
-			_ = writeEvent(w, flusher, api.JobEvent{Type: api.EventShutdown, JobID: id})
-			return
-		}
-		fv, ok := s.coord.Job(id)
-		if !ok {
-			// Evicted mid-watch: nothing more will happen; end the stream.
-			return
-		}
-		terminal := fv.Status != fleet.JobRunning
-		ev := api.JobEvent{
-			JobID: fv.ID, Status: api.JobStatus(fv.Status),
-			ShardsDone: fv.ShardsDone, ShardsTotal: len(fv.Shards),
-		}
-		switch {
-		case first || terminal:
-			ev.Type = api.EventStatus
-			ev.Error = fv.Error
-		case fv.ShardsDone != lastDone:
-			ev.Type = api.EventShards
-		default:
-			ev.Type = ""
-		}
-		if ev.Type != "" {
-			if err := writeEvent(w, flusher, ev); err != nil {
-				return
-			}
-			lastWrite = time.Now()
-		}
-		if terminal {
-			return
-		}
-		first = false
-		lastDone = fv.ShardsDone
-		if time.Since(lastWrite) >= sseKeepalive {
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-			lastWrite = time.Now()
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
+// sseHeaders switches the response into an event stream.
+func sseHeaders(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no") // defeat buffering proxies
+	w.WriteHeader(http.StatusOK)
+}
+
+// writeEvent renders one SSE frame.
+func writeEvent(w http.ResponseWriter, flusher http.Flusher, ev api.JobEvent) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
 	}
+	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
+		return err
+	}
+	flusher.Flush()
+	return nil
+}
+
+// statusSnapshot renders the current status event of a batch or fleet job.
+func (s *Server) statusSnapshot(id string) (api.JobEvent, bool) {
+	if j := s.snapshot(id); j != nil {
+		return statusEvent(j), true
+	}
+	fv, ok := s.coord.Job(id)
+	if !ok {
+		return api.JobEvent{}, false
+	}
+	return api.JobEvent{Type: api.EventStatus, JobID: id, Status: fv.Status,
+		ShardsDone: fv.ShardsDone, ShardsTotal: len(fv.Shards), Error: fv.Error}, true
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"sort"
 	"time"
@@ -35,42 +34,37 @@ func (s *Server) logErr(format string, args ...any) {
 	}
 }
 
-// persistJobLocked writes the current record of one job and returns the
-// store error, if any. Mid-flight callers treat failures as non-fatal
-// (logged; the next transition retries on the in-memory state), but every
-// outcome feeds the degraded latch: a failed write latches degraded mode
+// putLocked is the one record write of batch jobs and surrogates:
+// marshal, Put, the degraded latch and a log line on failure. Every
+// outcome feeds the latch: a failed write latches degraded mode
 // (submissions are shed with 503 until the store recovers), a successful
-// one clears it. Caller holds s.mu.
-func (s *Server) persistJobLocked(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	data, err := json.Marshal(&storedJob{Job: j, Batch: s.batches[id]})
+// one clears it. Callers after the ack treat a failure as non-fatal (the
+// next transition retries on the in-memory state). Caller holds s.mu.
+func (s *Server) putLocked(kind, id string, rec any) error {
+	data, err := json.Marshal(rec)
 	if err != nil {
-		s.logErr("server: persist %s: %v", id, err)
+		s.logErr("server: persist %s %s: %v", kind, id, err)
 		return err
 	}
-	err = s.store.Put(jobstore.KindJob, id, data, jobstore.Counters{Job: s.seq})
-	s.notePersist(err)
-	if err != nil {
-		s.logErr("server: persist %s: %v", id, err)
-	}
-	return err
-}
-
-// notePersist drives the degraded latch and the write-failure counter
-// from one store-write outcome.
-func (s *Server) notePersist(err error) {
-	if err != nil {
+	if err := s.store.Put(kind, id, data, jobstore.Counters{Job: s.seq}); err != nil {
 		s.mStoreErrs.Inc()
 		if s.degraded.CompareAndSwap(false, true) {
 			s.logErr("server: job store failing writes; shedding new submissions until a write succeeds")
 		}
-		return
+		s.logErr("server: persist %s %s: %v", kind, id, err)
+		return err
 	}
 	if s.degraded.CompareAndSwap(true, false) {
 		s.logErr("server: job store recovered; accepting submissions again")
+	}
+	return nil
+}
+
+// persistJobLocked writes the current record of one job. Caller holds
+// s.mu.
+func (s *Server) persistJobLocked(id string) {
+	if j, ok := s.jobs[id]; ok {
+		_ = s.putLocked(jobstore.KindJob, id, &storedJob{Job: j, Batch: s.batches[id]})
 	}
 }
 
@@ -78,14 +72,14 @@ func (s *Server) notePersist(err error) {
 func (s *Server) persistJob(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.persistJobLocked(id)
+	s.persistJobLocked(id)
 }
 
 // recover rebuilds the job table from the store and requeues every job
 // the previous process died with: non-terminal recovered jobs reset to
 // queued (progress zeroed) and re-enter the runner queue, terminal ones
-// come back with their results.
-func (s *Server) recover() error {
+// come back with their results. Unreadable records are dropped.
+func (s *Server) recover() {
 	st := s.store.State()
 	s.seq = max(s.seq, st.Counters.Job)
 
@@ -136,12 +130,8 @@ func (s *Server) recover() error {
 	}
 	for _, rq := range pending {
 		s.persistJobLocked(rq.id)
-		ctx, cancel := context.WithCancel(context.Background())
-		s.cancels[rq.id] = cancel
-		s.runners.Add(1)
-		go s.runJob(ctx, rq.id, rq.batch)
+		s.startJobLocked(rq.id, rq.batch)
 	}
-	return nil
 }
 
 // queuedLocked counts jobs waiting for a runner slot. Caller holds s.mu.

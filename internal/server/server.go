@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"etherm/api"
+	"etherm/internal/apiconv"
 	"etherm/internal/fleet"
 	"etherm/internal/jobstore"
 	"etherm/internal/metrics"
@@ -47,15 +46,15 @@ type Server struct {
 	persistent bool
 	logf       func(format string, args ...any)
 
-	// FleetBatches, when set before serving, routes the sharded scenarios
-	// of batch jobs through the fleet coordinator instead of running them
-	// locally — the job then progresses only while etworkers are connected.
-	FleetBatches bool
+	// fleetBatches routes the sharded scenarios of batch jobs through the
+	// fleet coordinator instead of running them locally — the job then
+	// progresses only while etworkers are connected.
+	fleetBatches bool
 
 	mu      sync.Mutex
 	jobs    map[string]*api.Job
 	batches map[string][]byte             // raw batch JSON of non-terminal jobs (requeued on recovery)
-	cancels map[string]context.CancelFunc // pending/running jobs only
+	cancels map[string]context.CancelFunc // pending/running jobs and builds only
 	order   []string                      // job IDs in submission order
 	seq     int
 
@@ -71,7 +70,7 @@ type Server struct {
 	// successful one; while set, /metrics exposes it and submissions are
 	// shed by their own failed persist (persist-before-ack).
 	degraded atomic.Bool
-	// runners tracks live runJob goroutines so Drain can await them.
+	// runners tracks live runner goroutines so Drain can await them.
 	runners sync.WaitGroup
 
 	hub *eventHub
@@ -104,7 +103,8 @@ const (
 type Config struct {
 	// MaxConcurrent bounds parallel batch runners (minimum 1).
 	MaxConcurrent int
-	// MaxHistory caps retained finished jobs (0 = DefaultMaxHistory).
+	// MaxHistory caps retained finished batch jobs and, separately,
+	// finished fleet jobs (0 = DefaultMaxHistory).
 	MaxHistory int
 	// LeaseTTL is the fleet shard-lease TTL (0 = fleet.DefaultLeaseTTL).
 	LeaseTTL time.Duration
@@ -145,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 		maxHistory:   cfg.MaxHistory,
 		maxQueued:    cfg.MaxQueued,
 		logf:         cfg.Logf,
-		FleetBatches: cfg.FleetBatches,
+		fleetBatches: cfg.FleetBatches,
 		jobs:         make(map[string]*api.Job),
 		batches:      make(map[string][]byte),
 		cancels:      make(map[string]context.CancelFunc),
@@ -205,16 +205,15 @@ func New(cfg Config) (*Server, error) {
 	// (which falls through to fleet jobs) or GET /v1/fleet/jobs/{id}.
 	s.coord.Register(s.mux, api.FleetPrefix)
 	s.coord.OnLeaseExpiry = s.mExpiries.Inc
+	s.coord.MaxHistory = cfg.MaxHistory
+	s.coord.OnEvent = func(ev api.JobEvent) { s.hub.publish(ev.JobID, ev) }
 
 	// Recovery: replay the store into the job table (requeueing jobs the
-	// last process died with) and the fleet coordinator.
-	if err := s.recover(); err != nil {
-		return nil, err
-	}
+	// last process died with), the surrogate table and the fleet
+	// coordinator. An unreadable record of any kind is dropped and logged.
+	s.recover()
 	s.recoverSurrogates()
-	if err := s.coord.SetStore(s.store, cfg.Logf); err != nil {
-		return nil, err
-	}
+	s.coord.SetStore(s.store, cfg.Logf)
 	return s, nil
 }
 
@@ -292,21 +291,8 @@ func (s *Server) allowedMethods(r *http.Request) []string {
 // handleSubmit accepts an api.Batch as JSON, enqueues it and returns 202
 // with the job description.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
-		return
-	}
-	if int64(len(body)) > s.maxBody {
-		api.WriteError(w, r, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeTooLarge,
-			"scenario file exceeds the %d-byte limit", s.maxBody))
-		return
-	}
-	// Syntactically broken JSON is an invalid-body 400, mirroring the fleet
-	// endpoints; only well-formed bodies proceed to semantic validation.
-	var syntax any
-	if err := json.Unmarshal(body, &syntax); err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
+	body, ok := apiconv.ReadBody(w, r, s.maxBody, "scenario file")
+	if !ok {
 		return
 	}
 	// scenario.ParseBatch is the validation authority: a strict decode into
@@ -337,61 +323,77 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		SubmittedAt: time.Now().UTC(),
 		Progress:    api.JobProgress{ScenariosTotal: len(batch.Scenarios)},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.jobs[job.ID] = job
-	s.batches[job.ID] = body
-	s.cancels[job.ID] = cancel
-	s.order = append(s.order, job.ID)
-	s.evictLocked()
 	// Persist before acking: a 202 promises the job survives a crash, so a
 	// failed store write must shed the submission, not accept it on
 	// best-effort durability. The submission doubles as the store probe —
 	// degraded mode self-heals on the first write that succeeds again.
-	if err := s.persistJobLocked(job.ID); err != nil {
-		delete(s.jobs, job.ID)
-		delete(s.batches, job.ID)
-		delete(s.cancels, job.ID)
-		s.order = s.order[:len(s.order)-1]
+	if err := s.putLocked(jobstore.KindJob, job.ID, &storedJob{Job: job, Batch: body}); err != nil {
 		s.seq--
 		s.mu.Unlock()
-		cancel()
-		s.mRejected.Inc()
-		e := api.Errorf(http.StatusServiceUnavailable, api.CodeDegraded,
-			"job store is failing writes (%v); submission shed, retry shortly", err)
-		e.RetryAfterS = 2
-		api.WriteError(w, r, e)
+		s.shed(w, r, "submission", err)
 		return
 	}
-	s.runners.Add(1)
+	s.jobs[job.ID] = job
+	s.batches[job.ID] = body
+	s.order = append(s.order, job.ID)
+	s.evictLocked()
+	s.startJobLocked(job.ID, batch)
+	snap := *job
 	s.mu.Unlock()
 	s.mSubmitted.Inc()
 
-	go s.runJob(ctx, job.ID, batch)
-
 	w.Header().Set("Location", api.JobPath(job.ID))
-	api.WriteJSON(w, http.StatusAccepted, s.snapshot(job.ID))
+	api.WriteJSON(w, http.StatusAccepted, &snap)
 }
 
-// runJob executes one batch under the runner-slot semaphore, streaming
-// scenario completions into the job's progress counters and the event hub.
-// The job's context cancels the whole pipeline: a queued job is abandoned
-// before acquiring a runner slot, a running one aborts mid-batch
-// (streaming scenarios stop mid-ensemble).
-func (s *Server) runJob(ctx context.Context, id string, batch *scenario.Batch) {
-	defer s.runners.Done()
-	defer s.release(id)
+// shed answers a submission whose record the store failed to write with a
+// retryable 503 degraded problem; nothing of it was kept.
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, what string, err error) {
+	s.mRejected.Inc()
+	e := api.Errorf(http.StatusServiceUnavailable, api.CodeDegraded,
+		"job store is failing writes (%v); %s shed, retry shortly", err, what)
+	e.RetryAfterS = 2
+	api.WriteError(w, r, e)
+}
 
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
+// startLocked is the one launch of a batch job or surrogate build: it
+// registers id's cancel handle and starts a runner goroutine that waits
+// for a runner slot and calls run under the job's context, or calls
+// canceled when the context ends first. Drain awaits the runner, and the
+// cancel handle is released when it exits. Caller holds s.mu.
+func (s *Server) startLocked(id string, run func(context.Context), canceled func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s.cancels[id] = cancel
+	s.runners.Add(1)
+	go func() {
+		defer s.runners.Done()
+		defer s.release(id)
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			canceled()
+			return
+		}
+		defer func() { <-s.sem }()
+		run(ctx)
+	}()
+}
+
+// startJobLocked launches a queued batch job. Caller holds s.mu.
+func (s *Server) startJobLocked(id string, batch *scenario.Batch) {
+	s.startLocked(id, func(ctx context.Context) { s.runJob(ctx, id, batch) }, func() {
 		s.finish(id, func(j *api.Job) {
 			j.Status = api.JobCanceled
 			j.Error = "canceled before start"
 		})
-		return
-	}
-	defer func() { <-s.sem }()
+	})
+}
 
+// runJob executes one batch on a runner slot, streaming scenario
+// completions into the job's progress counters and the event hub. The
+// job's context cancels the whole pipeline: a running batch aborts
+// mid-batch (streaming scenarios stop mid-ensemble).
+func (s *Server) runJob(ctx context.Context, id string, batch *scenario.Batch) {
 	now := time.Now().UTC()
 	s.update(id, func(j *api.Job) {
 		j.Status = api.JobRunning
@@ -401,7 +403,7 @@ func (s *Server) runJob(ctx context.Context, id string, batch *scenario.Batch) {
 	s.publishStatus(id)
 
 	eng := scenario.NewEngineWithCache(s.cache)
-	if s.FleetBatches {
+	if s.fleetBatches {
 		eng.Sharder = s.coord
 	}
 	eng.OnEvent = func(ev scenario.Event) {

@@ -61,24 +61,11 @@ type storedSurrogate struct {
 	Model json.RawMessage `json:"model,omitempty"`
 }
 
-// persistSurrogateLocked mirrors persistJobLocked for surrogate records:
-// write-through with the degraded latch. Caller holds s.mu.
-func (s *Server) persistSurrogateLocked(id string) error {
-	rec, ok := s.surr[id]
-	if !ok {
-		return nil
-	}
-	data, err := json.Marshal(&storedSurrogate{Meta: rec.meta, Spec: rec.specRaw, Model: rec.modelRaw})
-	if err != nil {
-		s.logErr("server: persist surrogate %s: %v", id, err)
-		return err
-	}
-	err = s.store.Put(jobstore.KindSurrogate, id, data, jobstore.Counters{})
-	s.notePersist(err)
-	if err != nil {
-		s.logErr("server: persist surrogate %s: %v", id, err)
-	}
-	return err
+// persistSurrogateLocked writes the current record of one surrogate.
+// Caller holds s.mu.
+func (s *Server) persistSurrogateLocked(rec *surrogateRecord) error {
+	return s.putLocked(jobstore.KindSurrogate, rec.meta.ID,
+		&storedSurrogate{Meta: rec.meta, Spec: rec.specRaw, Model: rec.modelRaw})
 }
 
 // recoverSurrogates rebuilds the surrogate table from the store: a ready
@@ -132,11 +119,8 @@ func (s *Server) recoverSurrogates() {
 	}
 	for _, id := range requeue {
 		rec := s.surr[id]
-		_ = s.persistSurrogateLocked(id)
-		ctx, cancel := context.WithCancel(context.Background())
-		s.cancels[id] = cancel
-		s.runners.Add(1)
-		go s.buildSurrogate(ctx, id, rec.scenario, rec.level, rec.order)
+		_ = s.persistSurrogateLocked(rec)
+		s.startBuildLocked(rec)
 	}
 }
 
@@ -184,19 +168,8 @@ func (s *Server) surrogateRecordFromSpec(raw json.RawMessage, decode func([]byte
 // starts (or joins) the build. 200 returns an already-ready surrogate,
 // 202 a building one; persist-before-ack mirrors job submission.
 func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
-	if err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
-		return
-	}
-	if int64(len(body)) > s.maxBody {
-		api.WriteError(w, r, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeTooLarge,
-			"surrogate spec exceeds the %d-byte limit", s.maxBody))
-		return
-	}
-	var syntax any
-	if err := json.Unmarshal(body, &syntax); err != nil {
-		api.WriteError(w, r, api.NewError(http.StatusBadRequest, api.CodeInvalidBody, err.Error()))
+	body, ok := apiconv.ReadBody(w, r, s.maxBody, "surrogate spec")
+	if !ok {
 		return
 	}
 	rec, err := s.surrogateRecordFromSpec(body, apiconv.DecodeStrict)
@@ -208,24 +181,18 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if existing, ok := s.surr[id]; ok {
-		switch {
-		case existing.meta.Status == api.SurrogateBuilding:
-			// Idempotent join: the same content-addressed build is already
-			// in flight.
-			meta := *existing.meta
+		// Idempotent join of the same content-addressed build in flight,
+		// or the ready model unless a rebuild is forced.
+		meta := *existing.meta
+		if meta.Status == api.SurrogateBuilding || meta.Status == api.SurrogateReady && !rec.spec.Rebuild {
 			s.mu.Unlock()
+			status := http.StatusOK
+			if meta.Status == api.SurrogateBuilding {
+				status = http.StatusAccepted
+			}
 			w.Header().Set("Location", api.SurrogatePath(id))
-			api.WriteJSON(w, http.StatusAccepted, &meta)
+			api.WriteJSON(w, status, &meta)
 			return
-		case existing.meta.Status == api.SurrogateReady && !rec.spec.Rebuild:
-			meta := *existing.meta
-			s.mu.Unlock()
-			w.Header().Set("Location", api.SurrogatePath(id))
-			api.WriteJSON(w, http.StatusOK, &meta)
-			return
-		default:
-			// Failed build or forced rebuild: reset in place, below.
-			s.surrOrder = removeID(s.surrOrder, id)
 		}
 	}
 	rec.meta = &api.Surrogate{
@@ -236,39 +203,20 @@ func (s *Server) handleSurrogateBuild(w http.ResponseWriter, r *http.Request) {
 		Order:       rec.order,
 		SubmittedAt: time.Now().UTC(),
 	}
-	prev, hadPrev := s.surr[id]
-	s.surr[id] = rec
-	s.surrOrder = append(s.surrOrder, id)
-	// Persist before acking, with full rollback on a failed write —
-	// accepting a build the store cannot record would break the restart
-	// contract.
-	if err := s.persistSurrogateLocked(id); err != nil {
-		if hadPrev {
-			s.surr[id] = prev
-		} else {
-			delete(s.surr, id)
-		}
-		s.surrOrder = removeID(s.surrOrder, id)
-		if hadPrev {
-			s.surrOrder = append(s.surrOrder, id)
-			sort.Strings(s.surrOrder)
-		}
+	// Persist before acking, and before a failed build or forced rebuild
+	// replaces its old record in place — accepting a build the store
+	// cannot record would break the restart contract.
+	if err := s.persistSurrogateLocked(rec); err != nil {
 		s.mu.Unlock()
-		s.mRejected.Inc()
-		e := api.Errorf(http.StatusServiceUnavailable, api.CodeDegraded,
-			"job store is failing writes (%v); build shed, retry shortly", err)
-		e.RetryAfterS = 2
-		api.WriteError(w, r, e)
+		s.shed(w, r, "build", err)
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancels[id] = cancel
-	s.runners.Add(1)
+	s.surr[id] = rec
+	s.surrOrder = append(removeID(s.surrOrder, id), id)
+	s.startBuildLocked(rec)
 	meta := *rec.meta
 	s.mu.Unlock()
 	s.mSubmitted.Inc()
-
-	go s.buildSurrogate(ctx, id, rec.scenario, rec.level, rec.order)
 
 	w.Header().Set("Location", api.SurrogatePath(id))
 	api.WriteJSON(w, http.StatusAccepted, &meta)
@@ -284,46 +232,43 @@ func removeID(order []string, id string) []string {
 	return order
 }
 
-// buildSurrogate evaluates the design under a runner slot and publishes
-// the result. Terminal states persist; the ready model goes onto its
-// record.
-func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scenario, level, order int) {
-	defer s.runners.Done()
-	defer s.release(id)
+// startBuildLocked launches a surrogate build. Caller holds s.mu.
+func (s *Server) startBuildLocked(rec *surrogateRecord) {
+	id := rec.meta.ID
+	s.startLocked(id, func(ctx context.Context) { s.buildSurrogate(ctx, rec) },
+		func() { s.failBuild(id, "canceled before start") })
+}
 
-	fail := func(msg string) {
-		now := time.Now().UTC()
-		s.mu.Lock()
-		if rec, ok := s.surr[id]; ok && rec.meta.Status == api.SurrogateBuilding {
-			rec.meta.Status = api.SurrogateFailed
-			rec.meta.Error = msg
-			rec.meta.BuiltAt = &now
-			_ = s.persistSurrogateLocked(id)
-		}
-		s.mu.Unlock()
+// failBuild moves a building surrogate to failed and persists it.
+func (s *Server) failBuild(id, msg string) {
+	now := time.Now().UTC()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, ok := s.surr[id]; ok && rec.meta.Status == api.SurrogateBuilding {
+		rec.meta.Status = api.SurrogateFailed
+		rec.meta.Error = msg
+		rec.meta.BuiltAt = &now
+		_ = s.persistSurrogateLocked(rec)
 	}
+}
 
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		fail("canceled before start")
-		return
-	}
-	defer func() { <-s.sem }()
-
+// buildSurrogate evaluates the design on a runner slot and publishes the
+// result. Terminal states persist; the ready model goes onto its record.
+func (s *Server) buildSurrogate(ctx context.Context, rec *surrogateRecord) {
+	id := rec.meta.ID
 	start := time.Now()
-	model, err := s.runSurrogateBuild(ctx, sc, level, order)
+	model, err := s.runSurrogateBuild(ctx, rec.scenario, rec.level, rec.order)
 	if err != nil {
 		if ctx.Err() != nil {
-			fail("canceled: " + ctx.Err().Error())
+			s.failBuild(id, "canceled: "+ctx.Err().Error())
 		} else {
-			fail(err.Error())
+			s.failBuild(id, err.Error())
 		}
 		return
 	}
 	modelRaw, err := json.Marshal(model)
 	if err != nil {
-		fail("model serialization failed: " + err.Error())
+		s.failBuild(id, "model serialization failed: "+err.Error())
 		return
 	}
 
@@ -331,9 +276,8 @@ func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scen
 	lo, hi := model.DeltaDomain()
 	kHot := (model.NTimes-1)*model.NWires + model.HotWire
 	s.mu.Lock()
-	rec, ok := s.surr[id]
-	if !ok || rec.meta.Status != api.SurrogateBuilding {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.surr[id] != rec || rec.meta.Status != api.SurrogateBuilding {
 		return
 	}
 	rec.modelRaw, rec.model = modelRaw, model
@@ -352,8 +296,7 @@ func (s *Server) buildSurrogate(ctx context.Context, id string, sc scenario.Scen
 	m.StdK = model.StdK[kHot]
 	m.BuiltAt = &now
 	m.BuildS = time.Since(start).Seconds()
-	_ = s.persistSurrogateLocked(id)
-	s.mu.Unlock()
+	_ = s.persistSurrogateLocked(rec)
 }
 
 // runSurrogateBuild wraps the build in the job-level panic boundary.
